@@ -66,7 +66,13 @@ func traceMachine(s *machineSpec, o opts, rep *report) error {
 	var ms runtime.MemStats
 	var samples []float64
 	window := t.begin("window", -1)
-	end := deadline(0.6 * o.seconds)
+	// The registry workload's traced run gives part of its window to the
+	// registry passes, which run last.
+	windowShare, layerShare := 0.6, 0.4
+	if s.registry {
+		windowShare, layerShare = 0.35, 0.2
+	}
+	end := deadline(windowShare * o.seconds)
 	for time.Now().Before(end) {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
@@ -130,8 +136,11 @@ func traceMachine(s *machineSpec, o opts, rep *report) error {
 	rep.set("trace.overhead_sim_s_per_s", (tracedRate-untraced)*sim.TickSeconds)
 	rep.notef("traced window: %d untraced + %d traced ticks", plainTicks, tracedTicks)
 
-	if err := layerBenches(s, o, rep, t, deadline(0.4*o.seconds)); err != nil {
+	if err := layerBenches(s, o, rep, t, deadline(layerShare*o.seconds)); err != nil {
 		return err
+	}
+	if s.registry {
+		timeRegistry(o, rep, t)
 	}
 	return finishTrace(t, o, rep)
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -46,6 +47,13 @@ func main() {
 	flag.StringVar(&o.out, "out", "", "directory for the traced run's span file (none when empty)")
 	flag.BoolVar(&rssRun, "rss-run", false, "internal: set up one machine, step it briefly and exit (peak RSS probe)")
 	flag.Parse()
+	// The simulator steps serially, so one CPU runs it. With a second P
+	// the collector's background work runs on the other CPU, which on a
+	// small virtual machine may share a physical core with the first: on
+	// a 2-vCPU host that made the slowest experiments registry spec
+	// spread 0.21 across five seeds, against 0.08 with one P, and was no
+	// faster.
+	runtime.GOMAXPROCS(1)
 	if err := validate(&o, traceFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(2)
@@ -88,7 +96,7 @@ func validate(o *opts, traceFlag int) error {
 }
 
 func workloadNames() []string {
-	names := []string{suiteName}
+	var names []string
 	for _, s := range machineSpecs {
 		names = append(names, s.name)
 	}
@@ -106,9 +114,6 @@ func knownWorkload(name string) bool {
 }
 
 func run(o opts) (*report, error) {
-	if o.workload == suiteName {
-		return benchSuite(o)
-	}
 	return benchMachine(machineSpecByName(o.workload), o)
 }
 
@@ -158,7 +163,7 @@ var layerMetrics = func() []metricDef {
 		metricDef{"numab.promote_success_ratio", "ratio"},
 		metricDef{"sim.allocs_per_tick", "1/tick"},
 	)
-	for _, id := range suiteIDs {
+	for _, id := range registryIDs {
 		defs = append(defs, metricDef{"experiments." + id + ".wall_s", "s"})
 	}
 	return append(defs,

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"sort"
-	"syscall"
+	"strconv"
 )
 
 // quantile returns the nearest-rank q-quantile of xs (sorted in place).
@@ -37,5 +40,19 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// maxRSSMB converts a Linux rusage Maxrss (KiB) to MiB.
-func maxRSSMB(ru *syscall.Rusage) float64 { return float64(ru.Maxrss) / 1024 }
+// peakRSSMB returns this process's peak resident set size in MiB: the
+// VmHWM line of /proc/self/status. Unlike rusage's maxrss, it counts only
+// the current program, not the parent it was forked from.
+func peakRSSMB() (float64, error) {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		if v, ok := bytes.CutPrefix(line, []byte("VmHWM:")); ok {
+			kb, err := strconv.ParseFloat(string(bytes.TrimSpace(bytes.TrimSuffix(v, []byte("kB")))), 64)
+			return kb / 1024, err
+		}
+	}
+	return 0, fmt.Errorf("no VmHWM in /proc/self/status")
+}
