@@ -97,29 +97,13 @@ func (a *Allocator) acquireFrame(n *mem.Node, t mem.PageType) bool {
 }
 
 // NodeOrder returns the node fallback order for a page of type t with the
-// given preferred node, honouring the page-type-aware policy.
+// given preferred node, honouring the page-type-aware policy: file-like
+// pages try the CXL nodes first. The slice is shared and read-only.
 func (a *Allocator) NodeOrder(t mem.PageType, preferred mem.NodeID) []mem.NodeID {
-	order := a.topo.FallbackOrder(preferred)
-	if !a.cfg.PageTypeAware || !t.IsFileLike() {
-		return order
+	if a.cfg.PageTypeAware && t.IsFileLike() {
+		return a.topo.FileFirstOrder(preferred)
 	}
-	// File-like pages: CXL nodes first (nearest first), then the rest in
-	// their usual order.
-	reordered := make([]mem.NodeID, 0, len(order))
-	for _, id := range order {
-		if a.topo.Node(id).Kind == mem.KindCXL {
-			reordered = append(reordered, id)
-		}
-	}
-	if len(reordered) == 0 {
-		return order // no CXL node on this machine
-	}
-	for _, id := range order {
-		if a.topo.Node(id).Kind != mem.KindCXL {
-			reordered = append(reordered, id)
-		}
-	}
-	return reordered
+	return a.topo.FallbackOrder(preferred)
 }
 
 // allocGateOK reports whether node n may take a fast-path allocation.

@@ -138,6 +138,23 @@ func TestPageTypeAwareOrder(t *testing.T) {
 	}
 }
 
+// TestAllocPageFastPathNoAllocs pins the zonelists as precomputed: a
+// fast-path allocation, page-type-aware file pages included, makes no
+// heap allocation.
+func TestAllocPageFastPathNoAllocs(t *testing.T) {
+	f := newFixture(t, Config{PageTypeAware: true}, 1000, 1000)
+	for _, pt := range []mem.PageType{mem.Anon, mem.File} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := f.a.AllocPage(pt, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v AllocPage: %v allocs per call, want 0", pt, allocs)
+		}
+	}
+}
+
 func TestPageTypeAwareWithoutCXL(t *testing.T) {
 	f := newFixture(t, Config{PageTypeAware: true}, 1000, 0)
 	if got := f.a.NodeOrder(mem.File, 0); len(got) != 1 || got[0] != 0 {

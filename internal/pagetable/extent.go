@@ -355,11 +355,10 @@ func (as *AddressSpace) unmapPFNExtent(pfn mem.PFN, v VPN, kind EvictKind) (VPN,
 	return v, true
 }
 
-// munmapExtents collects every mapped frame of a dying region, clears
-// its reverse-map slots, and unwinds the mapped/evicted accounting.
-// Munmap proper removes the region from the index.
-func (as *AddressSpace) munmapExtents(rs *regionState) []mem.PFN {
-	var pfns []mem.PFN
+// munmapExtents appends every mapped frame of a dying region to pfns,
+// clears its reverse-map slots, and unwinds the mapped/evicted
+// accounting. Munmap proper removes the region from the index.
+func (as *AddressSpace) munmapExtents(rs *regionState, pfns []mem.PFN) []mem.PFN {
 	for j := range rs.exts {
 		e := &rs.exts[j]
 		if e.pfn == mem.NilPFN {

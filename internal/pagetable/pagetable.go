@@ -97,6 +97,9 @@ type AddressSpace struct {
 	// translations may have been invalidated (e.g. by direct reclaim
 	// triggered mid-batch) and must re-resolve.
 	gen uint64
+	// freed backs Munmap's result, reused across calls so tearing a
+	// region down allocates nothing.
+	freed []mem.PFN
 	// evictedByKind counts currently-evicted VPNs per EvictKind, so
 	// EvictedCount is O(1). Index EvictNone is unused.
 	evictedByKind [numEvictKinds]int
@@ -235,33 +238,29 @@ func (as *AddressSpace) regionOf(v VPN) *regionState {
 
 // Munmap removes the region and returns the PFNs of all pages that were
 // mapped inside it, so the caller can release node residency and free
-// them. Unknown regions panic: the simulator controls all regions.
+// them. The slice is reused by the next Munmap; copy it to retain.
+// Unknown regions panic: the simulator controls all regions.
 func (as *AddressSpace) Munmap(r Region) []mem.PFN {
 	idx := sort.Search(len(as.starts), func(i int) bool { return as.starts[i] >= r.Start })
 	if idx >= len(as.regions) || as.regions[idx].Start != r.Start || as.regions[idx].Pages != r.Pages {
 		panic(fmt.Sprintf("pagetable: munmap of unknown region %+v", r))
 	}
 	rs := &as.regions[idx]
-	var pfns []mem.PFN
+	pfns := as.freed[:0]
 	if as.ext {
-		pfns = as.munmapExtents(rs)
-		as.regions = append(as.regions[:idx], as.regions[idx+1:]...)
-		as.starts = append(as.starts[:idx], as.starts[idx+1:]...)
-		as.ends = append(as.ends[:idx], as.ends[idx+1:]...)
-		as.totalPages -= r.Pages
-		as.gen++
-		as.rebuildIndex()
-		return pfns
-	}
-	for i, pfn := range rs.pfns {
-		if pfn != mem.NilPFN {
-			pfns = append(pfns, pfn)
-			as.rmap[pfn] = nilVPN
-			as.mapped--
-		} else if k := rs.estate[i]; k != EvictNone {
-			as.evictedByKind[k]--
+		pfns = as.munmapExtents(rs, pfns)
+	} else {
+		for i, pfn := range rs.pfns {
+			if pfn != mem.NilPFN {
+				pfns = append(pfns, pfn)
+				as.rmap[pfn] = nilVPN
+				as.mapped--
+			} else if k := rs.estate[i]; k != EvictNone {
+				as.evictedByKind[k]--
+			}
 		}
 	}
+	as.freed = pfns
 	as.regions = append(as.regions[:idx], as.regions[idx+1:]...)
 	as.starts = append(as.starts[:idx], as.starts[idx+1:]...)
 	as.ends = append(as.ends[:idx], as.ends[idx+1:]...)

@@ -7,6 +7,33 @@ import (
 	"tppsim/internal/mem"
 )
 
+// TestMunmapNoAllocs pins Munmap's reused result buffer: once it has
+// grown, tearing down a mapped region allocates nothing, in both the
+// dense and the extent representation.
+func TestMunmapNoAllocs(t *testing.T) {
+	for name, as := range map[string]*AddressSpace{"dense": New(1), "extent": NewExtent(1, 0)} {
+		const pages = 32
+		var regions []Region
+		for i := 0; i < 11; i++ {
+			r := as.Mmap(pages, mem.Anon)
+			for k := uint64(0); k < pages; k++ {
+				as.MapPage(r.Start+VPN(k), mem.PFN(uint64(i)*pages+k))
+			}
+			regions = append(regions, r)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(len(regions)-1, func() {
+			if got := len(as.Munmap(regions[next])); got != pages {
+				t.Fatalf("%s: Munmap returned %d PFNs, want %d", name, got, pages)
+			}
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Munmap made %v allocations per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestMmapRegionsDisjoint(t *testing.T) {
 	as := New(1)
 	r1 := as.Mmap(100, mem.Anon)

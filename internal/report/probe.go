@@ -74,11 +74,15 @@ func PercentileTable(ls *probe.LatencySet, labels []string) *Table {
 
 // PhaseTable renders a tick-phase profile: per phase the profiled tick
 // count, the total wall-clock, its share of the whole, and the per-tick
-// distribution.
+// distribution. A nil profiler (profiling off) renders the titled,
+// empty table.
 func PhaseTable(p *probe.PhaseProfiler) *Table {
 	t := &Table{
 		Title:   "Tick-phase profile (host wall-clock)",
 		Columns: []string{"phase", "ticks", "total", "share", "mean/tick", "p50", "p99"},
+	}
+	if p == nil {
+		return t
 	}
 	total := p.TotalNs()
 	for ph := probe.Phase(0); int(ph) < probe.NumPhases; ph++ {

@@ -33,6 +33,18 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestPhaseTableNil covers profiling off: PhaseProfiler.Hist returns
+// nil then, and the table must render empty instead of panicking.
+func TestPhaseTableNil(t *testing.T) {
+	tbl := PhaseTable(nil)
+	if len(tbl.Rows) != 0 || len(tbl.Notes) != 0 {
+		t.Fatalf("nil profiler rendered rows %v, notes %v", tbl.Rows, tbl.Notes)
+	}
+	if out := tbl.String(); !strings.HasPrefix(out, "Tick-phase profile") {
+		t.Fatalf("missing title:\n%s", out)
+	}
+}
+
 func TestTableShortRow(t *testing.T) {
 	tbl := &Table{Columns: []string{"a", "b", "c"}}
 	tbl.AddRow("only-one")

@@ -65,6 +65,13 @@ type Topology struct {
 	toNodeDist    []int // min over CPUs c of distance[c][node], the access metric
 	demoteTargets [][]mem.NodeID
 
+	// Allocation zonelists per source node, built at assembly and
+	// rebuilt on every online/offline transition: fallback holds the
+	// online nodes by distance (self first), fileFirst the same nodes
+	// with the CXL ones moved to the front.
+	fallback  [][]mem.NodeID
+	fileFirst [][]mem.NodeID
+
 	// Fault-plane health state. All three stay nil until a fault first
 	// touches the machine, so healthy topologies pay only nil/zero
 	// checks and remain bit-identical to machines built before the
@@ -102,6 +109,7 @@ func New(nodes []*mem.Node, traits []Traits, distance [][]int) (*Topology, error
 	}
 	t := &Topology{nodes: nodes, traits: traits, distance: distance}
 	t.computeTiers()
+	t.computeFallback()
 	return t, nil
 }
 
@@ -235,8 +243,9 @@ func (t *Topology) Online(id mem.NodeID) bool {
 func (t *Topology) AllOnline() bool { return t.nOffline == 0 }
 
 // SetOffline transitions a node out of (or back into) service and
-// rebuilds the health-filtered demotion cascades. The caller (the
-// fault plane) is responsible for evacuating resident pages first.
+// rebuilds the zonelists and the health-filtered demotion cascades. The
+// caller (the fault plane) is responsible for evacuating resident pages
+// first.
 func (t *Topology) SetOffline(id mem.NodeID, off bool) {
 	if t.offline == nil {
 		if !off {
@@ -253,6 +262,7 @@ func (t *Topology) SetOffline(id mem.NodeID, off bool) {
 	} else {
 		t.nOffline--
 	}
+	t.computeFallback()
 	if t.nOffline == 0 {
 		t.healthyDemote = nil
 		return
@@ -423,22 +433,47 @@ func (t *Topology) bestOfTier(tier int) mem.NodeID {
 
 // FallbackOrder returns all online node IDs ordered by distance from
 // the given node (self first) — the allocator's zonelist. Offline
-// nodes are excluded, so allocation reroutes around them.
-func (t *Topology) FallbackOrder(from mem.NodeID) []mem.NodeID {
-	out := make([]mem.NodeID, 0, len(t.nodes))
-	for i := range t.nodes {
-		if t.nOffline != 0 && t.offline[i] {
-			continue
+// nodes are excluded, so allocation reroutes around them. The slice is
+// shared and read-only.
+func (t *Topology) FallbackOrder(from mem.NodeID) []mem.NodeID { return t.fallback[from] }
+
+// FileFirstOrder is FallbackOrder with the CXL nodes (nearest first)
+// ahead of the rest: the page-type-aware zonelist for file-like pages.
+// The slice is shared and read-only.
+func (t *Topology) FileFirstOrder(from mem.NodeID) []mem.NodeID { return t.fileFirst[from] }
+
+// computeFallback rebuilds both zonelists of every node from the
+// current online set.
+func (t *Topology) computeFallback() {
+	n := len(t.nodes)
+	t.fallback = make([][]mem.NodeID, n)
+	t.fileFirst = make([][]mem.NodeID, n)
+	for from := range t.nodes {
+		order := make([]mem.NodeID, 0, n)
+		for i := range t.nodes {
+			if t.Online(mem.NodeID(i)) {
+				order = append(order, mem.NodeID(i))
+			}
 		}
-		out = append(out, mem.NodeID(i))
-	}
-	// Insertion sort by distance; node counts are tiny.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && t.distance[from][out[j]] < t.distance[from][out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		// Insertion sort by distance; node counts are tiny.
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && t.distance[from][order[j]] < t.distance[from][order[j-1]]; j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
 		}
+		files := make([]mem.NodeID, 0, len(order))
+		for _, id := range order {
+			if t.nodes[id].Kind == mem.KindCXL {
+				files = append(files, id)
+			}
+		}
+		for _, id := range order {
+			if t.nodes[id].Kind != mem.KindCXL {
+				files = append(files, id)
+			}
+		}
+		t.fallback[from], t.fileFirst[from] = order, files
 	}
-	return out
 }
 
 // DemoteScaleFactor returns the machine's demote_scale_factor —

@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"slices"
 	"testing"
 
 	"tppsim/internal/mem"
@@ -111,6 +112,27 @@ func TestFallbackOrder(t *testing.T) {
 	if order[0] != 1 || order[1] != 0 {
 		t.Fatalf("FallbackOrder(1) = %v", order)
 	}
+}
+
+// TestFallbackOrderSetOffline pins the precomputed zonelists to the
+// online set: hot-remove drops a node from both orders, and bringing
+// it back restores them.
+func TestFallbackOrderSetOffline(t *testing.T) {
+	topo := mustCXL(t, Config{LocalPages: 10, CXLPages: 10})
+	check := func(what string, got []mem.NodeID, want ...mem.NodeID) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+	}
+	check("FileFirstOrder(0)", topo.FileFirstOrder(0), 1, 0)
+	topo.SetOffline(1, true)
+	check("offline FallbackOrder(0)", topo.FallbackOrder(0), 0)
+	check("offline FileFirstOrder(0)", topo.FileFirstOrder(0), 0)
+	topo.SetOffline(1, false)
+	check("online FallbackOrder(0)", topo.FallbackOrder(0), 0, 1)
+	check("online FallbackOrder(1)", topo.FallbackOrder(1), 1, 0)
+	check("online FileFirstOrder(0)", topo.FileFirstOrder(0), 1, 0)
 }
 
 func TestNewValidation(t *testing.T) {

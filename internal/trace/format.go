@@ -88,6 +88,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -291,7 +292,7 @@ func appendFaults(buf []byte, s *fault.Schedule) []byte {
 }
 
 // readFaults parses the fault-schedule block of a v6+ header.
-func readFaults(r byteStream) (*fault.Schedule, error) {
+func readFaults(r *bytes.Reader) (*fault.Schedule, error) {
 	present, err := r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading fault marker: %w", err)
@@ -384,7 +385,7 @@ func appendTopology(buf []byte, s *tier.Spec) []byte {
 }
 
 // readTopology parses the topology block of a v2+ header.
-func readTopology(r byteStream) (*tier.Spec, error) {
+func readTopology(r *bytes.Reader) (*tier.Spec, error) {
 	present, err := r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading topology marker: %w", err)
@@ -455,15 +456,8 @@ func readTopology(r byteStream) (*tier.Spec, error) {
 	return &s, nil
 }
 
-// byteStream is what header/event decoding needs: bufio.Reader and
-// bytes.Reader both satisfy it.
-type byteStream interface {
-	io.Reader
-	io.ByteReader
-}
-
 // readHeader parses and validates a header from the stream.
-func readHeader(r byteStream) (Header, error) {
+func readHeader(r *bytes.Reader) (Header, error) {
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return Header{}, fmt.Errorf("trace: reading magic: %w", err)
@@ -792,31 +786,13 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// countingStream wraps a byteStream and counts consumed bytes, so
-// decode errors can name the exact offset they tripped on.
-type countingStream struct {
-	s byteStream
-	n int64
-}
-
-func (c *countingStream) Read(p []byte) (int, error) {
-	n, err := c.s.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingStream) ReadByte() (byte, error) {
-	b, err := c.s.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-// Reader streams events back out of a trace. Next returns io.EOF at a
-// clean end of stream.
+// Reader streams events back out of a trace held in memory. It decodes
+// straight from the trace bytes with an integer offset — the byte offset
+// its errors report — so decoding costs no interface call per byte. Next
+// returns io.EOF at a clean end of stream.
 type Reader struct {
-	br    *countingStream
+	data  []byte
+	off   int
 	h     Header
 	prev  pagetable.VPN
 	ticks uint64 // TickEnds consumed, for error context
@@ -826,20 +802,27 @@ type Reader struct {
 	levelScratch []series.Levels
 }
 
-// NewReader parses the header and prepares to stream events. The reader
-// does not decompress; wrap r in gzip.Reader first if needed (Load does
-// this automatically).
+// NewReader reads r to its end, parses the header and prepares to
+// stream events from the buffered bytes; byte offsets in its errors
+// count from the start of the input. The reader does not decompress;
+// wrap r in gzip.Reader first if needed (Load does this automatically).
 func NewReader(r io.Reader) (*Reader, error) {
-	bs, ok := r.(byteStream)
-	if !ok {
-		bs = bufio.NewReaderSize(r, 1<<16)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	cs := &countingStream{s: bs}
-	h, err := readHeader(cs)
+	br := bytes.NewReader(raw)
+	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{br: cs, h: h}, nil
+	return &Reader{data: raw, off: len(raw) - br.Len(), h: h}, nil
+}
+
+// reset points the reader at the start of an event stream, keeping its
+// scratch buffers.
+func (r *Reader) reset(data []byte, h Header) {
+	*r = Reader{data: data, h: h, deltaScratch: r.deltaScratch[:0], levelScratch: r.levelScratch[:0]}
 }
 
 // Header returns the trace header.
@@ -859,36 +842,116 @@ func (r *Reader) Next() (Event, error) {
 			r.ticks++
 		}
 	case err != io.EOF:
-		err = fmt.Errorf("%w (byte offset %d, tick %d)", err, r.br.n, r.ticks)
+		err = r.located(err)
 	}
 	return e, err
 }
 
+// located adds the byte offset and tick a decode error tripped on.
+func (r *Reader) located(err error) error {
+	return fmt.Errorf("%w (byte offset %d, tick %d)", err, r.off, r.ticks)
+}
+
+// errUvarintOverflow matches encoding/binary's overflow error text.
+var errUvarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// readByte consumes one byte; io.EOF at the end of the data.
+func (r *Reader) readByte() (byte, error) {
+	if r.off >= len(r.data) {
+		return 0, io.EOF
+	}
+	b := r.data[r.off]
+	r.off++
+	return b, nil
+}
+
+// uvarint consumes one unsigned LEB128 varint, with binary.ReadUvarint's
+// errors and consumption: io.EOF when no byte is left, io.ErrUnexpectedEOF
+// when the data ends mid-varint, an overflow error past 64 bits.
+func (r *Reader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.data[r.off:])
+	switch {
+	case n > 0:
+		r.off += n
+		return v, nil
+	case n < 0:
+		r.off -= n
+		return 0, errUvarintOverflow
+	case r.off == len(r.data):
+		return 0, io.EOF
+	}
+	r.off = len(r.data)
+	return 0, io.ErrUnexpectedEOF
+}
+
+// readFloat64 consumes one little-endian IEEE-754 value, with io.ReadFull's
+// errors and consumption.
+func (r *Reader) readFloat64() (float64, error) {
+	if rem := len(r.data) - r.off; rem < 8 {
+		r.off = len(r.data)
+		if rem == 0 {
+			return 0, io.EOF
+		}
+		return 0, io.ErrUnexpectedEOF
+	}
+	bits := binary.LittleEndian.Uint64(r.data[r.off:])
+	r.off += 8
+	return math.Float64frombits(bits), nil
+}
+
+// delta decodes a Touch/Access operand: the zigzag VPN delta against the
+// previous Touch/Access.
+func (r *Reader) delta(op Op) (pagetable.VPN, error) {
+	u, err := r.uvarint()
+	if err != nil {
+		return 0, fmt.Errorf("trace: %s delta: %w", op, err)
+	}
+	r.prev = pagetable.VPN(int64(r.prev) + unzigzag(u))
+	return r.prev, nil
+}
+
+// nextAccesses decodes the run of OpAccess events at the cursor into buf,
+// stopping before the first other opcode, at the end of the data, or
+// when buf is full. Each access decodes exactly as Next would decode it,
+// and an error carries the same text, byte offset and tick; events the
+// batch stops before are left for Next.
+func (r *Reader) nextAccesses(buf []pagetable.VPN) (int, error) {
+	for n := range buf {
+		if r.off >= len(r.data) || Op(r.data[r.off]) != OpAccess {
+			return n, nil
+		}
+		r.off++
+		v, err := r.delta(OpAccess)
+		if err != nil {
+			return n, r.located(err)
+		}
+		buf[n] = v
+	}
+	return len(buf), nil
+}
+
 func (r *Reader) next() (Event, error) {
-	op, err := r.br.ReadByte()
+	op, err := r.readByte()
 	if err == io.EOF {
 		if r.h.Version >= 2 {
 			return Event{}, fmt.Errorf("trace: stream truncated (no end marker)")
 		}
 		return Event{}, io.EOF
 	}
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: reading opcode: %w", err)
-	}
 	e := Event{Op: Op(op)}
 	switch e.Op {
 	case OpEnd:
 		return Event{}, io.EOF
 	case OpMmap, OpMunmap:
-		start, err := binary.ReadUvarint(r.br)
+		start, err := r.uvarint()
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: %s start: %w", e.Op, err)
 		}
-		pages, err := binary.ReadUvarint(r.br)
+		pages, err := r.uvarint()
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: %s pages: %w", e.Op, err)
 		}
-		t, err := r.br.ReadByte()
+		t, err := r.readByte()
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: %s type: %w", e.Op, err)
 		}
@@ -897,22 +960,17 @@ func (r *Reader) next() (Event, error) {
 		}
 		e.Start, e.Pages, e.Type = pagetable.VPN(start), pages, mem.PageType(t)
 		if e.Op == OpMmap {
-			var f [8]byte
-			if _, err := io.ReadFull(r.br, f[:]); err != nil {
+			if e.Dirty, err = r.readFloat64(); err != nil {
 				return Event{}, fmt.Errorf("trace: mmap dirty prob: %w", err)
 			}
-			e.Dirty = math.Float64frombits(binary.LittleEndian.Uint64(f[:]))
 		}
 	case OpTouch, OpAccess:
-		u, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return Event{}, fmt.Errorf("trace: %s delta: %w", e.Op, err)
+		if e.VPN, err = r.delta(e.Op); err != nil {
+			return Event{}, err
 		}
-		e.VPN = pagetable.VPN(int64(r.prev) + unzigzag(u))
-		r.prev = e.VPN
 	case OpTickEnd:
 		if r.h.Version >= 3 {
-			nodes, err := binary.ReadUvarint(r.br)
+			nodes, err := r.uvarint()
 			if err != nil {
 				return Event{}, fmt.Errorf("trace: tickend node count: %w", err)
 			}
@@ -922,7 +980,7 @@ func (r *Reader) next() (Event, error) {
 			e.DeltaNodes = int(nodes)
 			r.deltaScratch = r.deltaScratch[:0]
 			for n := 0; n < int(nodes); n++ {
-				pairs, err := binary.ReadUvarint(r.br)
+				pairs, err := r.uvarint()
 				if err != nil {
 					return Event{}, fmt.Errorf("trace: tickend node %d pair count: %w", n, err)
 				}
@@ -930,14 +988,14 @@ func (r *Reader) next() (Event, error) {
 					return Event{}, fmt.Errorf("trace: tickend node %d has %d counter deltas", n, pairs)
 				}
 				for k := uint64(0); k < pairs; k++ {
-					cb, err := r.br.ReadByte()
+					cb, err := r.readByte()
 					if err != nil {
 						return Event{}, fmt.Errorf("trace: tickend delta counter: %w", err)
 					}
 					if int(cb) >= vmstat.NumCounters {
 						return Event{}, fmt.Errorf("trace: tickend unknown counter %d", cb)
 					}
-					v, err := binary.ReadUvarint(r.br)
+					v, err := r.uvarint()
 					if err != nil {
 						return Event{}, fmt.Errorf("trace: tickend delta value: %w", err)
 					}
@@ -947,7 +1005,7 @@ func (r *Reader) next() (Event, error) {
 			}
 			e.Deltas = r.deltaScratch
 			if r.h.Version >= 4 && nodes > 0 {
-				present, err := r.br.ReadByte()
+				present, err := r.readByte()
 				if err != nil {
 					return Event{}, fmt.Errorf("trace: tickend level marker: %w", err)
 				}
@@ -959,9 +1017,9 @@ func (r *Reader) next() (Event, error) {
 					for n := 0; n < int(nodes); n++ {
 						var lv series.Levels
 						var lerr error
-						if lv.Resident, lerr = binary.ReadUvarint(r.br); lerr == nil {
-							if lv.Anon, lerr = binary.ReadUvarint(r.br); lerr == nil {
-								lv.File, lerr = binary.ReadUvarint(r.br)
+						if lv.Resident, lerr = r.uvarint(); lerr == nil {
+							if lv.Anon, lerr = r.uvarint(); lerr == nil {
+								lv.File, lerr = r.uvarint()
 							}
 						}
 						if lerr != nil {
@@ -977,12 +1035,12 @@ func (r *Reader) next() (Event, error) {
 		if r.h.Version < 6 {
 			return Event{}, fmt.Errorf("trace: fault event in v%d stream (need v6+)", r.h.Version)
 		}
-		kind, err := r.br.ReadByte()
+		kind, err := r.readByte()
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: fault kind: %w", err)
 		}
 		e.Fault.Kind = fault.Kind(kind)
-		node, err := binary.ReadUvarint(r.br)
+		node, err := r.uvarint()
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: fault node: %w", err)
 		}
@@ -990,15 +1048,13 @@ func (r *Reader) next() (Event, error) {
 		if e.Fault.Node < -1 || e.Fault.Node > 127 {
 			return Event{}, fmt.Errorf("trace: fault event has bad node %d", e.Fault.Node)
 		}
-		if e.Fault.Tick, err = binary.ReadUvarint(r.br); err != nil {
+		if e.Fault.Tick, err = r.uvarint(); err != nil {
 			return Event{}, fmt.Errorf("trace: fault tick: %w", err)
 		}
-		var f [8]byte
-		if _, err := io.ReadFull(r.br, f[:]); err != nil {
+		if e.Fault.Arg, err = r.readFloat64(); err != nil {
 			return Event{}, fmt.Errorf("trace: fault arg: %w", err)
 		}
-		e.Fault.Arg = math.Float64frombits(binary.LittleEndian.Uint64(f[:]))
-		retries, err := binary.ReadUvarint(r.br)
+		retries, err := r.uvarint()
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: fault retries: %w", err)
 		}
@@ -1006,7 +1062,7 @@ func (r *Reader) next() (Event, error) {
 			return Event{}, fmt.Errorf("trace: fault event has absurd retry bound %d", retries)
 		}
 		e.Fault.MaxRetries = int(retries)
-		if e.Fault.Pages, err = binary.ReadUvarint(r.br); err != nil {
+		if e.Fault.Pages, err = r.uvarint(); err != nil {
 			return Event{}, fmt.Errorf("trace: fault pages: %w", err)
 		}
 	case OpStartEnd:
@@ -1097,7 +1153,7 @@ func (t *Trace) Save(path string) error {
 // Byte offsets in its errors count from the start of the event stream
 // (the header is not part of a cursor's view).
 func (t *Trace) Events() *Reader {
-	return &Reader{br: &countingStream{s: bytes.NewReader(t.data)}, h: t.Header}
+	return &Reader{data: t.data, h: t.Header}
 }
 
 // Size returns the encoded event-stream size in bytes.

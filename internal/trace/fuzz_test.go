@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"tppsim/internal/fault"
@@ -103,5 +105,67 @@ func FuzzTraceReader(f *testing.F) {
 			}
 		}
 		t.Fatalf("reader yielded more events than the %d input bytes", len(data))
+	})
+}
+
+// FuzzReplayBatch holds the batch draw path to the scalar one on
+// arbitrary streams: for bytes that pass Decode, a looping Replayer
+// driven through NextAccessBatch and one driven through NextAccess must
+// hand out the same VPNs, make the same machine calls and end with the
+// same error, without panicking.
+func FuzzReplayBatch(f *testing.F) {
+	for v := 1; v <= Version; v++ {
+		f.Add(fuzzSeedTrace(f, v))
+	}
+	for _, tr := range []*Trace{
+		PhaseShift(GenConfig{Pages: 64, Minutes: 1, AccessesPerTick: 8, Seed: 1}),
+		AdversarialChurn(GenConfig{Pages: 64, Minutes: 1, AccessesPerTick: 8, Seed: 1}),
+	} {
+		f.Add(append(encodeHeader(tr.Header), tr.data...))
+	}
+
+	const ticks = 40
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			return
+		}
+		run := func(batch bool) ([]pagetable.VPN, []string, error) {
+			rp := tr.Replayer(ReplayOptions{Loop: true})
+			ctx := &stubCtx{log: []string{}}
+			var vpns []pagetable.VPN
+			buf := make([]pagetable.VPN, 7) // odd size: batches split runs
+			rp.Start(ctx)
+			for tick := uint64(0); tick < ticks; tick++ {
+				rp.Tick(ctx, tick)
+				for {
+					if batch {
+						n := rp.NextAccessBatch(ctx, tick, buf)
+						if n == 0 {
+							break
+						}
+						vpns = append(vpns, buf[:n]...)
+						continue
+					}
+					v, ok := rp.NextAccess(ctx, tick)
+					if !ok {
+						break
+					}
+					vpns = append(vpns, v)
+				}
+			}
+			return vpns, ctx.log, rp.Err()
+		}
+		bv, blog, berr := run(true)
+		sv, slog, serr := run(false)
+		if fmt.Sprint(berr) != fmt.Sprint(serr) {
+			t.Fatalf("errors differ:\n batch  %v\n scalar %v", berr, serr)
+		}
+		if !slices.Equal(bv, sv) {
+			t.Fatalf("VPN sequences differ: batch %d accesses, scalar %d", len(bv), len(sv))
+		}
+		if !slices.Equal(blog, slog) {
+			t.Fatalf("machine calls differ: batch %d, scalar %d", len(blog), len(slog))
+		}
 	})
 }

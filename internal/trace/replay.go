@@ -37,9 +37,17 @@ type Replayer struct {
 	tr   *Trace
 	opts ReplayOptions
 
-	r         *Reader
-	pending   *Event
-	live      []liveRegion
+	r Reader
+	// pending is the event peeked but not yet consumed, valid while
+	// hasPending is set.
+	pending    Event
+	hasPending bool
+	live       []liveRegion
+	// hit is the index into live of the region the last translate
+	// resolved to. An mmap or munmap that shifts live may leave it
+	// stale; translate only trusts it after checking it against the
+	// region table, so a stale index is just a miss.
+	hit       int
 	baseline  []regionKey
 	ticksSeen uint64
 	exhausted bool
@@ -97,12 +105,12 @@ func (r *Replayer) WorkloadErr() error { return r.err }
 // Start implements workload.Workload: replay the setup section.
 func (r *Replayer) Start(ctx workload.Ctx) {
 	r.live = r.live[:0]
-	r.pending = nil
+	r.hasPending = false
 	r.err = nil
 	r.exhausted = false
 	r.needDrain = false
 	r.ticksSeen = 0
-	r.r = r.tr.Events()
+	r.r.reset(r.tr.data, r.tr.Header)
 	r.replayStart(ctx, true)
 }
 
@@ -110,8 +118,8 @@ func (r *Replayer) Start(ctx workload.Ctx) {
 // are skipped without touching the machine (seamless loop wrap).
 func (r *Replayer) replayStart(ctx workload.Ctx, apply bool) {
 	for {
-		e, ok := r.peek()
-		if !ok {
+		e := r.peek()
+		if e == nil {
 			r.exhausted = true
 			return
 		}
@@ -155,8 +163,8 @@ func (r *Replayer) Tick(ctx workload.Ctx, tick uint64) {
 		}
 	}
 	for {
-		e, ok := r.peek()
-		if !ok {
+		e := r.peek()
+		if e == nil {
 			r.exhausted = true
 			break
 		}
@@ -181,9 +189,9 @@ func (r *Replayer) NextAccess(ctx workload.Ctx, tick uint64) (pagetable.VPN, boo
 	if r.exhausted {
 		return 0, false
 	}
-	e, ok := r.peek()
-	if !ok || e.Op != OpAccess {
-		if !ok {
+	e := r.peek()
+	if e == nil || e.Op != OpAccess {
+		if e == nil {
 			r.exhausted = true
 		}
 		return 0, false
@@ -191,59 +199,61 @@ func (r *Replayer) NextAccess(ctx workload.Ctx, tick uint64) (pagetable.VPN, boo
 	r.consume()
 	v, found := r.translate(e.VPN)
 	if !found {
-		r.fail(fmt.Errorf("trace: access %d outside every live region", e.VPN))
+		r.fail(accessError(e.VPN))
 		return 0, false
 	}
 	return v, true
 }
 
+func accessError(rec pagetable.VPN) error {
+	return fmt.Errorf("trace: access %d outside every live region", rec)
+}
+
 // NextAccessBatch implements workload.BatchAccessor: decode the tick's
-// recorded accesses straight off the event stream into buf, stopping at
-// the first non-access event (left pending for Tick/drain) or a full
-// buffer. Draw-for-draw identical to calling NextAccess len(buf) times
-// — replay draws depend only on the trace and the live-region table,
-// never on machine state mutated mid-tick — but skips the per-event
-// peek/consume bookkeeping (and its pending-event allocation), so the
-// simulator's fused batch loop can drive replays at profile speed.
+// recorded accesses straight off the in-memory event stream into buf,
+// stopping at the first non-access event (left pending for Tick/drain)
+// or a full buffer. Draw-for-draw identical to calling NextAccess
+// len(buf) times — replay draws depend only on the trace and the
+// live-region table, never on machine state mutated mid-tick — with the
+// same first error, but it decodes a run of accesses in one pass and
+// skips the per-event peek/consume bookkeeping, so the simulator's fused
+// batch loop drives replays without allocating.
 func (r *Replayer) NextAccessBatch(ctx workload.Ctx, tick uint64, buf []pagetable.VPN) int {
 	if r.exhausted {
 		return 0
 	}
 	n := 0
-	if r.pending != nil {
+	if r.hasPending {
 		if r.pending.Op != OpAccess {
 			return 0
 		}
 		v, found := r.translate(r.pending.VPN)
 		if !found {
-			r.fail(fmt.Errorf("trace: access %d outside every live region", r.pending.VPN))
+			r.fail(accessError(r.pending.VPN))
 			return 0
 		}
-		r.pending = nil
+		r.hasPending = false
 		buf[n] = v
 		n++
 	}
-	for n < len(buf) {
-		e, err := r.r.Next()
-		if err != nil {
-			if err != io.EOF {
-				r.fail(err)
-			} else {
-				r.exhausted = true
-			}
-			return n
-		}
-		if e.Op != OpAccess {
-			r.pending = &e
-			return n
-		}
-		v, found := r.translate(e.VPN)
+	k, err := r.r.nextAccesses(buf[n:])
+	for end := n + k; n < end; n++ {
+		v, found := r.translate(buf[n])
 		if !found {
-			r.fail(fmt.Errorf("trace: access %d outside every live region", e.VPN))
+			r.fail(accessError(buf[n]))
 			return n
 		}
 		buf[n] = v
-		n++
+	}
+	if err != nil {
+		r.fail(err)
+		return n
+	}
+	// Short of a full buffer, the run of accesses ended: peek the event
+	// after it, leaving it pending for Tick/drain. None means the end of
+	// the stream, or a decode error that peek has recorded.
+	if n < len(buf) && r.peek() == nil {
+		r.exhausted = true
 	}
 	return n
 }
@@ -265,8 +275,8 @@ func (r *Replayer) DirtyProb(reg pagetable.Region) float64 {
 // recorded) are dropped.
 func (r *Replayer) drain(ctx workload.Ctx) {
 	for {
-		e, ok := r.peek()
-		if !ok {
+		e := r.peek()
+		if e == nil {
 			r.exhausted = true
 			return
 		}
@@ -299,11 +309,11 @@ func (r *Replayer) wrap(ctx workload.Ctx) bool {
 		}
 		r.live = r.live[:0]
 	}
-	r.pending = nil
+	r.hasPending = false
 	r.exhausted = false
 	r.needDrain = false
 	r.ticksSeen = 0
-	r.r = r.tr.Events()
+	r.r.reset(r.tr.data, r.tr.Header)
 	r.replayStart(ctx, !soft)
 	return !r.exhausted && r.err == nil
 }
@@ -322,10 +332,11 @@ func (r *Replayer) liveMatchesBaseline() bool {
 	return true
 }
 
-// peek returns the next event without consuming it. ok is false at end
-// of stream or on a decode error (recorded via fail).
-func (r *Replayer) peek() (Event, bool) {
-	if r.pending == nil {
+// peek returns the next event without consuming it, or nil at end of
+// stream or on a decode error (recorded via fail). The event stays
+// valid until the next peek after a consume.
+func (r *Replayer) peek() *Event {
+	if !r.hasPending {
 		e, err := r.r.Next()
 		if err != nil {
 			// Clean end-of-stream is a bare io.EOF; wrapped EOFs from
@@ -333,14 +344,14 @@ func (r *Replayer) peek() (Event, bool) {
 			if err != io.EOF {
 				r.fail(err)
 			}
-			return Event{}, false
+			return nil
 		}
-		r.pending = &e
+		r.pending, r.hasPending = e, true
 	}
-	return *r.pending, true
+	return &r.pending
 }
 
-func (r *Replayer) consume() { r.pending = nil }
+func (r *Replayer) consume() { r.hasPending = false }
 
 func (r *Replayer) fail(err error) {
 	if r.err == nil {
@@ -350,7 +361,7 @@ func (r *Replayer) fail(err error) {
 }
 
 // apply executes one housekeeping event against the machine.
-func (r *Replayer) apply(ctx workload.Ctx, e Event) {
+func (r *Replayer) apply(ctx workload.Ctx, e *Event) {
 	switch e.Op {
 	case OpMmap:
 		if e.Pages == 0 {
@@ -390,13 +401,21 @@ func (r *Replayer) apply(ctx workload.Ctx, e Event) {
 	}
 }
 
-// translate maps a recorded VPN into the replaying address space.
+// translate maps a recorded VPN into the replaying address space: the
+// last live region starting at or before rec must contain it. The
+// previous hit is tried before the binary search, and only trusted when
+// it is that region, so the answer never depends on the cache.
 func (r *Replayer) translate(rec pagetable.VPN) (pagetable.VPN, bool) {
-	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].recStart > rec })
-	if i == 0 {
-		return 0, false
+	i := r.hit
+	if i >= len(r.live) || r.live[i].recStart > rec ||
+		(i+1 < len(r.live) && r.live[i+1].recStart <= rec) {
+		i = sort.Search(len(r.live), func(i int) bool { return r.live[i].recStart > rec }) - 1
+		if i < 0 {
+			return 0, false
+		}
+		r.hit = i
 	}
-	lr := &r.live[i-1]
+	lr := &r.live[i]
 	off := uint64(rec - lr.recStart)
 	if off >= lr.pages {
 		return 0, false

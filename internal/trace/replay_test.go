@@ -251,42 +251,64 @@ func TestGeneratorsTinyWorkingSet(t *testing.T) {
 	}
 }
 
-// TestCatalogTraceEntries runs each generator-backed catalog entry
-// briefly under TPP.
 // scalarOnly hides a Replayer's batch fast path, forcing the simulator
-// onto the one-NextAccess-per-access slow path.
-type scalarOnly struct{ workload.Workload }
+// onto the one-NextAccess-per-access slow path. It keeps the dirty model
+// and the error reporter visible: without the recorded dirty-at-fault
+// probabilities a file-backed trace would fault clean pages and diverge
+// for a reason that has nothing to do with the draws.
+type scalarOnly struct {
+	workload.Workload
+	workload.DirtyModel
+	workload.ErrorReporter
+}
+
+func newScalarOnly(rp *trace.Replayer) scalarOnly { return scalarOnly{rp, rp, rp} }
 
 // TestReplayerBatchMatchesScalar pins the BatchAccessor contract: a
 // machine driven through NextAccessBatch must be bit-identical — scalars
 // and every vmstat counter — to one driven through per-access NextAccess
-// calls over the same trace.
+// calls over the same trace. Each generator's 2-minute trace loops
+// through a 5-minute run, so two wraps: seamless ones for PhaseShift and
+// SeqScan, restarts for AdvChurn, whose munmap and re-mmap of every
+// region moves the replayer's live-region table under its translation
+// cache.
 func TestReplayerBatchMatchesScalar(t *testing.T) {
-	tr := trace.PhaseShift(trace.GenConfig{Pages: 4096, Minutes: 4, AccessesPerTick: 400, Seed: 9})
-	runWith := func(wl workload.Workload) (*sim.Machine, string) {
-		m, err := sim.New(sim.Config{
-			Seed: 2, Policy: core.TPP(), Workload: wl,
-			Ratio: [2]uint64{2, 1}, Minutes: 4, AccessesPerTick: 400,
+	gen := trace.GenConfig{Pages: 4096, Minutes: 2, AccessesPerTick: 400, Seed: 9}
+	for name, tr := range map[string]*trace.Trace{
+		"PhaseShift": trace.PhaseShift(gen),
+		"SeqScan":    trace.SequentialScan(gen),
+		"AdvChurn":   trace.AdversarialChurn(gen),
+	} {
+		t.Run(name, func(t *testing.T) {
+			runWith := func(wl workload.Workload) (*sim.Machine, string) {
+				m, err := sim.New(sim.Config{
+					Seed: 2, Policy: core.TPP(), Workload: wl,
+					Ratio: [2]uint64{2, 1}, Minutes: 5, AccessesPerTick: 400,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := m.Run()
+				if res.Failed {
+					t.Fatalf("run failed: %s", res.FailReason)
+				}
+				return m, res.String()
+			}
+			opts := trace.ReplayOptions{Loop: true}
+			bm, bres := runWith(tr.Replayer(opts))
+			sm, sres := runWith(newScalarOnly(tr.Replayer(opts)))
+			if bres != sres {
+				t.Errorf("scalars diverged:\n batch  %s\n scalar %s", bres, sres)
+			}
+			if got, want := bm.Stat().Snapshot(), sm.Stat().Snapshot(); !got.Equal(want) {
+				t.Errorf("vmstat diverged:\n batch:\n%s scalar:\n%s", got.String(), want.String())
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := m.Run()
-		if res.Failed {
-			t.Fatalf("run failed: %s", res.FailReason)
-		}
-		return m, res.String()
-	}
-	bm, bres := runWith(tr.Replayer(trace.ReplayOptions{}))
-	sm, sres := runWith(scalarOnly{tr.Replayer(trace.ReplayOptions{})})
-	if bres != sres {
-		t.Errorf("scalars diverged:\n batch  %s\n scalar %s", bres, sres)
-	}
-	if got, want := bm.Stat().Snapshot(), sm.Stat().Snapshot(); !got.Equal(want) {
-		t.Errorf("vmstat diverged:\n batch:\n%s scalar:\n%s", got.String(), want.String())
 	}
 }
 
+// TestCatalogTraceEntries runs each generator-backed catalog entry
+// briefly under TPP.
 func TestCatalogTraceEntries(t *testing.T) {
 	for _, name := range []string{"PhaseShift", "SeqScan", "AdvChurn"} {
 		ctor, ok := workload.Catalog[name]
