@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,6 +120,63 @@ func TestNextAccessBatchTruncatedMatchesNext(t *testing.T) {
 	}
 	if msg := want.Error(); !strings.Contains(msg, fmt.Sprintf("byte offset %d, tick 1", tr.Size())) {
 		t.Fatalf("error %q does not name the cut's offset %d and tick 1", msg, tr.Size())
+	}
+}
+
+// TestOverlongAccessVarint pins how an access delta that overruns a
+// 64-bit varint fails: encoding/binary's text, and a byte offset that
+// counts the varint as binary.ReadUvarint consumes it — never more than
+// binary.MaxVarintLen64 bytes, whatever follows — from Reader.Next and
+// NextAccessBatch alike.
+func TestOverlongAccessVarint(t *testing.T) {
+	const overflow = "trace: access delta: binary: varint overflows a 64-bit integer"
+	cont := bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)
+	for _, c := range []struct {
+		name string
+		tail []byte // the varint after the access opcode, to the end of the data
+		want string // the error before its location
+		used int    // varint bytes consumed
+	}{
+		{"ten continuation bytes then more", append(slices.Clone(cont), 0x01), overflow, 10},
+		{"ten continuation bytes at the end", cont, overflow, 10},
+		{"tenth byte past 64 bits", append(slices.Clone(cont[:9]), 0x02), overflow, 10},
+		{"cut mid-varint", cont[:3], "trace: access delta: unexpected EOF", 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var b bytes.Buffer
+			w := NewWriter(&b, Header{Name: "overlong", TotalPages: 64})
+			w.Mmap(pagetable.Region{Start: 0, Pages: 64, Type: mem.Anon}, 0)
+			w.StartEnd()
+			w.Access(1) // leaves the bad access to the batch decoder
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			tr, err := Decode(append(append(b.Bytes(), byte(OpAccess)), c.tail...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("%s (byte offset %d, tick 0)", c.want, tr.Size()-len(c.tail)+c.used)
+
+			r := tr.Events()
+			var got error
+			for got == nil {
+				_, got = r.Next()
+			}
+			if got.Error() != want {
+				t.Errorf("Next: %v\n want %s", got, want)
+			}
+
+			rp := tr.Replayer(ReplayOptions{})
+			ctx := &stubCtx{}
+			rp.Start(ctx)
+			rp.Tick(ctx, 0)
+			if n := rp.NextAccessBatch(ctx, 0, make([]pagetable.VPN, 4)); n != 1 {
+				t.Errorf("batch returned %d accesses, want 1", n)
+			}
+			if rp.Err() == nil || rp.Err().Error() != want {
+				t.Errorf("NextAccessBatch: %v\n want %s", rp.Err(), want)
+			}
+		})
 	}
 }
 

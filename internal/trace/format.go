@@ -811,12 +811,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	br := bytes.NewReader(raw)
-	h, err := readHeader(br)
+	tr, err := Decode(raw)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{data: raw, off: len(raw) - br.Len(), h: h}, nil
+	return &Reader{data: raw, off: len(raw) - tr.Size(), h: tr.Header}, nil
 }
 
 // reset points the reader at the start of an event stream, keeping its
@@ -867,9 +866,14 @@ func (r *Reader) readByte() (byte, error) {
 
 // uvarint consumes one unsigned LEB128 varint, with binary.ReadUvarint's
 // errors and consumption: io.EOF when no byte is left, io.ErrUnexpectedEOF
-// when the data ends mid-varint, an overflow error past 64 bits.
+// when the data ends mid-varint, an overflow error past 64 bits after at
+// most binary.MaxVarintLen64 bytes.
 func (r *Reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
+	win := r.data[r.off:]
+	if len(win) > binary.MaxVarintLen64 {
+		win = win[:binary.MaxVarintLen64]
+	}
+	v, n := binary.Uvarint(win)
 	switch {
 	case n > 0:
 		r.off += n
@@ -877,7 +881,11 @@ func (r *Reader) uvarint() (uint64, error) {
 	case n < 0:
 		r.off -= n
 		return 0, errUvarintOverflow
-	case r.off == len(r.data):
+	case len(win) == binary.MaxVarintLen64:
+		// Ten continuation bytes: too long whatever follows.
+		r.off += len(win)
+		return 0, errUvarintOverflow
+	case len(win) == 0:
 		return 0, io.EOF
 	}
 	r.off = len(r.data)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -90,6 +91,12 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add([]byte("NOTATRACE___"))
 	valid := fuzzSeedTrace(f, Version)
 	f.Add(valid[:len(valid)/2])
+	// An overlong access varint, ten continuation bytes long, with one
+	// more byte after it or none.
+	overlong := append(slices.Clone(valid[:len(valid)-1]), byte(OpAccess)) // end marker dropped
+	overlong = append(overlong, bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)...)
+	f.Add(overlong)
+	f.Add(append(slices.Clone(overlong), 0x01))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))

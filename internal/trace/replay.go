@@ -43,16 +43,11 @@ type Replayer struct {
 	pending    Event
 	hasPending bool
 	live       []liveRegion
-	// hit is the index into live of the region the last translate
-	// resolved to. An mmap or munmap that shifts live may leave it
-	// stale; translate only trusts it after checking it against the
-	// region table, so a stale index is just a miss.
-	hit       int
-	baseline  []regionKey
-	ticksSeen uint64
-	exhausted bool
-	needDrain bool
-	err       error
+	baseline   []regionKey
+	ticksSeen  uint64
+	exhausted  bool
+	needDrain  bool
+	err        error
 }
 
 // liveRegion joins a recorded region to the region backing it in the
@@ -401,21 +396,13 @@ func (r *Replayer) apply(ctx workload.Ctx, e *Event) {
 	}
 }
 
-// translate maps a recorded VPN into the replaying address space: the
-// last live region starting at or before rec must contain it. The
-// previous hit is tried before the binary search, and only trusted when
-// it is that region, so the answer never depends on the cache.
+// translate maps a recorded VPN into the replaying address space.
 func (r *Replayer) translate(rec pagetable.VPN) (pagetable.VPN, bool) {
-	i := r.hit
-	if i >= len(r.live) || r.live[i].recStart > rec ||
-		(i+1 < len(r.live) && r.live[i+1].recStart <= rec) {
-		i = sort.Search(len(r.live), func(i int) bool { return r.live[i].recStart > rec }) - 1
-		if i < 0 {
-			return 0, false
-		}
-		r.hit = i
+	i := sort.Search(len(r.live), func(i int) bool { return r.live[i].recStart > rec })
+	if i == 0 {
+		return 0, false
 	}
-	lr := &r.live[i]
+	lr := &r.live[i-1]
 	off := uint64(rec - lr.recStart)
 	if off >= lr.pages {
 		return 0, false
