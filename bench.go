@@ -3,6 +3,7 @@ package tppsim
 import (
 	"tppsim/internal/mem"
 	"tppsim/internal/metrics"
+	"tppsim/internal/tier"
 	"tppsim/internal/tracker"
 	"tppsim/internal/workload"
 )
@@ -17,7 +18,7 @@ func SimTickBenchConfig() MachineConfig {
 		Seed:     1,
 		Policy:   TPP(),
 		Workload: Workloads["Cache1"](8 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: TopologyCXL(2, 1),
 		Minutes:  1 << 30,
 	}
 }
@@ -67,7 +68,7 @@ func SimTickBenchLargeConfig() MachineConfig {
 		Seed:            1,
 		Policy:          TPP(),
 		Workload:        Workloads["Cache1"](2 << 20),
-		Ratio:           [2]uint64{2, 1},
+		Topology:        TopologyCXL(2, 1),
 		Minutes:         1 << 30,
 		AccessesPerTick: 8192,
 	}
@@ -94,12 +95,17 @@ func SimTickBenchParallelConfig() MachineConfig {
 // SimTickHugeBytesPerPageMax bytes per simulated resident page.
 func SimTickBenchHugeConfig() MachineConfig {
 	return MachineConfig{
-		Seed:            1,
-		Policy:          TPP(),
-		Workload:        hugeBenchWorkload(),
-		LocalPages:      192 << 20,
-		CXLPages:        96 << 20,
-		HugePages:       true,
+		Seed:     1,
+		Policy:   TPP(),
+		Workload: hugeBenchWorkload(),
+		Topology: Topology{
+			Name: tier.PresetNameCXL,
+			Nodes: []TopologyNode{
+				{Kind: KindLocal, Pages: 192 << 20},
+				{Kind: KindCXL, Pages: 96 << 20},
+			},
+			HugePages: true,
+		},
 		Minutes:         1 << 30,
 		AccessesPerTick: 8192,
 	}

@@ -196,16 +196,14 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	var topo tier.Spec
-	if *topoName != "" {
+	topo := tier.PresetCXL(r0, r1)
+	if *topoName != "" && *topoName != tier.PresetNameCXL {
 		spec, ok := tier.Preset(*topoName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown -topology %q; have %s\n", *topoName, strings.Join(tier.PresetNames(), ", "))
 			os.Exit(2)
 		}
-		if *topoName == tier.PresetNameCXL {
-			spec = tier.PresetCXL(r0, r1)
-		} else if set["ratio"] {
+		if set["ratio"] {
 			fmt.Fprintf(os.Stderr, "-ratio only applies to the cxl preset; %s has fixed shares\n", *topoName)
 			os.Exit(2)
 		}
@@ -257,7 +255,7 @@ func main() {
 		traceMin := (tr.Ticks() + workload.TicksPerMinute - 1) / workload.TicksPerMinute
 		fmt.Printf("replaying %s: workload=%s pages=%d %d min (%d KB encoded)\n",
 			*replayF, h.Name, h.TotalPages, traceMin, tr.Size()/1024)
-		if len(topo.Nodes) == 0 && !set["ratio"] && h.Topology != nil {
+		if *topoName == "" && !set["ratio"] && h.Topology != nil {
 			// No explicit sizing: rebuild the recorded machine.
 			topo = *h.Topology
 			fmt.Printf("  machine from trace: %s (%d nodes)\n", topo.Name, len(topo.Nodes))
@@ -292,6 +290,8 @@ func main() {
 		}
 	}
 
+	topo.HugePages = *hugeFl
+
 	// The flag speaks the issue-facing convention (0 = all CPUs); the
 	// Config zero value means serial, so auto maps to WorkersAuto.
 	cfgWorkers := *workers
@@ -304,19 +304,14 @@ func main() {
 			Seed:             *seed,
 			Policy:           p,
 			Workers:          cfgWorkers,
-			HugePages:        *hugeFl,
 			Minutes:          *minutes,
 			RecordTo:         *recordTo,
 			SampleEveryTicks: *sampleEv,
 			ProbeLatency:     *latency,
 			ProbePhases:      *phaseFl,
+			Topology:         topo,
 			Faults:           faults,
 			Tracker:          trkCfg,
-		}
-		if len(topo.Nodes) > 0 {
-			cfg.Topology = topo
-		} else {
-			cfg.Ratio = [2]uint64{r0, r1}
 		}
 		if tr != nil {
 			cfg.Workload = tr.Replayer(trace.ReplayOptions{Loop: *loop})

@@ -5,6 +5,7 @@ import (
 
 	"tppsim/internal/core"
 	"tppsim/internal/report"
+	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
 )
 
@@ -12,9 +13,8 @@ import (
 // rate and promotion rate with and without the decoupled
 // allocation/reclamation watermarks, on the pressured 1:4 Cache1 setup.
 func Fig17(o Options) Result {
-	o = o.withDefaults()
-	_, with := run(o, core.TPP(), "Cache1", [2]uint64{1, 4})
-	_, without := run(o, core.TPP(core.WithoutDecoupling()), "Cache1", [2]uint64{1, 4})
+	_, with := run(o, core.TPP(), "Cache1", tier.PresetCXL(1, 4))
+	_, without := run(o, core.TPP(core.WithoutDecoupling()), "Cache1", tier.PresetCXL(1, 4))
 
 	t := &report.Table{
 		Title:   "Fig. 17 — Impact of decoupling allocation and reclamation (Cache1, 1:4)",
@@ -44,9 +44,8 @@ func Fig17(o Options) Result {
 // Fig. 18): restricting promotion candidates by LRU age versus instant
 // opportunistic promotion.
 func Fig18(o Options) Result {
-	o = o.withDefaults()
-	mActive, active := run(o, core.TPP(), "Cache1", [2]uint64{1, 4})
-	mInstant, instant := run(o, core.TPP(core.WithInstantPromotion()), "Cache1", [2]uint64{1, 4})
+	mActive, active := run(o, core.TPP(), "Cache1", tier.PresetCXL(1, 4))
+	mInstant, instant := run(o, core.TPP(core.WithInstantPromotion()), "Cache1", tier.PresetCXL(1, 4))
 
 	t := &report.Table{
 		Title:   "Fig. 18 — Active-LRU-based promotion filter (Cache1, 1:4)",
@@ -69,7 +68,6 @@ func Fig18(o Options) Result {
 // preferring CXL for caches lets small-local configurations behave like
 // all-local ones.
 func Table2(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Table 2 — Page-type-aware allocation",
 		Columns: []string{"workload (ratio)", "local traffic", "CXL traffic", "throughput vs baseline"},
@@ -83,7 +81,7 @@ func Table2(o Options) Result {
 		{"Cache2", [2]uint64{1, 4}},
 	}
 	for _, r := range rows {
-		_, res := run(o, core.TPP(core.WithPageTypeAware()), r.wl, r.ratio)
+		_, res := run(o, core.TPP(core.WithPageTypeAware()), r.wl, tier.PresetCXL(r.ratio[0], r.ratio[1]))
 		t.AddRow(fmt.Sprintf("%s (%d:%d)", r.wl, r.ratio[0], r.ratio[1]),
 			report.Pct(res.AvgLocalTraffic), report.Pct(1-res.AvgLocalTraffic),
 			report.Pct(res.NormalizedThroughput))
@@ -96,9 +94,8 @@ func Table2(o Options) Result {
 // counters: promotion-rate reduction, ping-pong reduction, and promotion
 // success-rate improvement.
 func X1(o Options) Result {
-	o = o.withDefaults()
-	mActive, _ := run(o, core.TPP(), "Cache1", [2]uint64{1, 4})
-	mInstant, _ := run(o, core.TPP(core.WithInstantPromotion()), "Cache1", [2]uint64{1, 4})
+	mActive, _ := run(o, core.TPP(), "Cache1", tier.PresetCXL(1, 4))
+	mInstant, _ := run(o, core.TPP(core.WithInstantPromotion()), "Cache1", tier.PresetCXL(1, 4))
 	a := mActive.Stat().Snapshot()
 	i := mInstant.Stat().Snapshot()
 

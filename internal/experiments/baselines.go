@@ -21,7 +21,6 @@ import (
 // mechanisms: local-traffic series for TPP, NUMA Balancing, and
 // AutoTiering on Web1 (2:1) and Cache1 (1:4).
 func Fig19(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 19 — TPP vs NUMA Balancing vs AutoTiering (local traffic)",
 		Columns: []string{"scenario", "TPP", "NUMA Balancing", "AutoTiering"},
@@ -35,9 +34,10 @@ func Fig19(o Options) Result {
 		{"Cache1", [2]uint64{1, 4}},
 	}
 	for _, sc := range scenarios {
-		_, tpp := run(o, core.TPP(), sc.wl, sc.ratio)
-		_, nb := run(o, core.NUMABalancing(), sc.wl, sc.ratio)
-		_, at := run(o, core.AutoTiering(), sc.wl, sc.ratio)
+		topo := tier.PresetCXL(sc.ratio[0], sc.ratio[1])
+		_, tpp := run(o, core.TPP(), sc.wl, topo)
+		_, nb := run(o, core.NUMABalancing(), sc.wl, topo)
+		_, at := run(o, core.AutoTiering(), sc.wl, topo)
 		label := fmt.Sprintf("%s (%d:%d)", sc.wl, sc.ratio[0], sc.ratio[1])
 		atCell := report.Pct(at.AvgLocalTraffic)
 		if at.Failed {
@@ -56,9 +56,8 @@ func Fig19(o Options) Result {
 // reclamation above TPP frees headroom, so TPP's migrations fail less and
 // even less traffic hits the CXL node.
 func Table3(o Options) Result {
-	o = o.withDefaults()
-	mTPP, rTPP := run(o, core.TPP(), "Web1", [2]uint64{2, 1})
-	mBoth, rBoth := run(o, core.TPP(core.WithTMO()), "Web1", [2]uint64{2, 1})
+	mTPP, rTPP := run(o, core.TPP(), "Web1", tier.PresetCXL(2, 1))
+	mBoth, rBoth := run(o, core.TPP(core.WithTMO()), "Web1", tier.PresetCXL(2, 1))
 
 	secs := float64(o.Minutes) * 60
 	failRate := func(m interface{ Stat() *vmstat.NodeStats }) float64 {
@@ -80,9 +79,8 @@ func Table3(o Options) Result {
 // reclaim becomes a two-stage demote-then-swap pipeline, cutting process
 // stall and increasing the memory it can save.
 func Table4(o Options) Result {
-	o = o.withDefaults()
-	mSolo, _ := run(o, core.TMOOnly(), "Web1", [2]uint64{2, 1})
-	mBoth, _ := run(o, core.TPP(core.WithTMO()), "Web1", [2]uint64{2, 1})
+	mSolo, _ := run(o, core.TMOOnly(), "Web1", tier.PresetCXL(2, 1))
+	mBoth, _ := run(o, core.TPP(core.WithTMO()), "Web1", tier.PresetCXL(2, 1))
 
 	t := &report.Table{
 		Title:   "Table 4 — TPP enhances TMO (Web1, 2:1)",
@@ -104,9 +102,10 @@ func Table4(o Options) Result {
 // each reclaim flavour free a pressured local node? Migration-based
 // demotion versus default reclaim over dirty file pages.
 func X2(o Options) Result {
-	o = o.withDefaults()
 	pagesFreedPerTick := func(demotion bool) float64 {
-		topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 20000, CXLPages: 40000})
+		topo, err := tier.Spec{Name: tier.PresetNameCXL, Nodes: []tier.NodeSpec{
+			{Kind: mem.KindLocal, Pages: 20000}, {Kind: mem.KindCXL, Pages: 40000},
+		}}.Build(0, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -152,7 +151,6 @@ func X2(o Options) Result {
 // X3 checks the §7 claim that steady-state migration traffic is tiny
 // compared with link bandwidth.
 func X3(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "X3 — Steady-state migration bandwidth under TPP",
 		Columns: []string{"workload (ratio)", "migration MB/s (tail mean)", "CXL x16 link"},
@@ -164,7 +162,7 @@ func X3(o Options) Result {
 		{"Cache1", [2]uint64{2, 1}},
 		{"Cache2", [2]uint64{2, 1}},
 	} {
-		_, res := run(o, core.TPP(), sc.wl, sc.ratio)
+		_, res := run(o, core.TPP(), sc.wl, tier.PresetCXL(sc.ratio[0], sc.ratio[1]))
 		t.AddRow(fmt.Sprintf("%s (%d:%d)", sc.wl, sc.ratio[0], sc.ratio[1]),
 			fmt.Sprintf("%.3f", res.MigrationRate.Tail(0.5)),
 			fmt.Sprintf("%.0f MB/s", tier.CXLx16BandwidthMBps))

@@ -10,6 +10,7 @@ import (
 	"tppsim/internal/metrics"
 	"tppsim/internal/report"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // attached (the §3 methodology: characterization happens on ordinary
 // production hosts, not tiered ones).
 func profileWorkload(o Options, wlName string) (*sim.Machine, chameleon.Report) {
-	m, _ := run(o, core.DefaultLinux(), wlName, [2]uint64{1, 0}, func(c *sim.Config) {
+	m, _ := run(o, core.DefaultLinux(), wlName, tier.PresetCXL(1, 0), func(c *sim.Config) {
 		c.EnableChameleon = true
 		// The simulator's access stream is already a 1-in-AccessScale
 		// sample of real traffic, so PEBS's 1-in-200 corresponds to
@@ -107,7 +108,7 @@ func Fig9(o Options) Result {
 	}
 	series := map[string]string{}
 	for _, name := range fig9Workloads {
-		m, res := run(o, core.DefaultLinux(), name, [2]uint64{1, 0})
+		m, res := run(o, core.DefaultLinux(), name, tier.PresetCXL(1, 0))
 		_ = m
 		total, anon, file := res.UtilTotal, res.UtilAnon, res.UtilFile
 		total.Name, anon.Name, file.Name = "total", "anon", "file"
@@ -126,7 +127,7 @@ func Fig10(o Options) Result {
 	}
 	series := map[string]string{}
 	for _, name := range fig9Workloads {
-		_, res := run(o, core.DefaultLinux(), name, [2]uint64{1, 0})
+		_, res := run(o, core.DefaultLinux(), name, tier.PresetCXL(1, 0))
 		anon, file, thr := res.UtilAnon, res.UtilFile, res.Throughput
 		anon.Name, file.Name, thr.Name = "anon_util", "file_util", "throughput"
 		series[name] = report.SeriesCSV("minute", &anon, &file, &thr)

@@ -6,7 +6,7 @@ import (
 	"tppsim/internal/core"
 	"tppsim/internal/metrics"
 	"tppsim/internal/report"
-	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
 )
 
@@ -32,7 +32,6 @@ var table1Rows = []table1Row{
 // Default Linux, TPP, NUMA Balancing, and AutoTiering on every
 // workload/ratio configuration.
 func Table1(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Table 1 — Throughput (%) normalized to the all-local baseline",
 		Columns: []string{"workload (local:cxl)", "Default Linux", "TPP", "NUMA Balancing", "AutoTiering"},
@@ -46,7 +45,7 @@ func Table1(o Options) Result {
 				cells = append(cells, "-")
 				continue
 			}
-			_, res := run(o, p, row.workload, row.ratio)
+			_, res := run(o, p, row.workload, tier.PresetCXL(row.ratio[0], row.ratio[1]))
 			if res.Failed {
 				cells = append(cells, "Fails")
 			} else {
@@ -62,16 +61,15 @@ func Table1(o Options) Result {
 // Fig14 regenerates the local-traffic-over-time comparison: All-Local vs
 // TPP vs Default Linux on the production 2:1 configuration.
 func Fig14(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 14 — Fraction of memory accesses served from the local node (2:1)",
 		Columns: []string{"workload", "All-Local", "TPP", "Default"},
 	}
 	series := map[string]string{}
 	for _, name := range fig9Workloads {
-		_, all := run(o, core.DefaultLinux(), name, [2]uint64{1, 0})
-		_, tpp := run(o, core.TPP(), name, [2]uint64{2, 1})
-		_, def := run(o, core.DefaultLinux(), name, [2]uint64{2, 1})
+		_, all := run(o, core.DefaultLinux(), name, tier.PresetCXL(1, 0))
+		_, tpp := run(o, core.TPP(), name, tier.PresetCXL(2, 1))
+		_, def := run(o, core.DefaultLinux(), name, tier.PresetCXL(2, 1))
 		a, b, c := all.LocalTraffic, tpp.LocalTraffic, def.LocalTraffic
 		a.Name, b.Name, c.Name = "all_local", "tpp", "default"
 		series[name] = report.SeriesCSV("minute", &a, &b, &c)
@@ -84,16 +82,15 @@ func Fig14(o Options) Result {
 // Fig15 regenerates the memory-constrained (1:4) local-traffic series for
 // the Cache workloads.
 func Fig15(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 15 — Effectiveness of TPP under memory constraint (1:4)",
 		Columns: []string{"workload", "All-Local", "TPP", "Default"},
 	}
 	series := map[string]string{}
 	for _, name := range []string{"Cache1", "Cache2"} {
-		_, all := run(o, core.DefaultLinux(), name, [2]uint64{1, 0})
-		_, tpp := run(o, core.TPP(), name, [2]uint64{1, 4})
-		_, def := run(o, core.DefaultLinux(), name, [2]uint64{1, 4})
+		_, all := run(o, core.DefaultLinux(), name, tier.PresetCXL(1, 0))
+		_, tpp := run(o, core.TPP(), name, tier.PresetCXL(1, 4))
+		_, def := run(o, core.DefaultLinux(), name, tier.PresetCXL(1, 4))
 		a, b, c := all.LocalTraffic, tpp.LocalTraffic, def.LocalTraffic
 		a.Name, b.Name, c.Name = "all_local", "tpp", "default"
 		series[name] = report.SeriesCSV("minute", &a, &b, &c)
@@ -107,7 +104,6 @@ func Fig15(o Options) Result {
 // increase over all-local and throughput loss, Default vs TPP, as the
 // CXL-Memory latency varies across its plausible band.
 func Fig16(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 16 — Cache2 (2:1) with varied CXL-Memory latency",
 		Columns: []string{"CXL latency", "Default +lat (ns)", "TPP +lat (ns)", "Default loss", "TPP loss"},
@@ -115,11 +111,12 @@ func Fig16(o Options) Result {
 	var defLat, tppLat, defLoss, tppLoss metrics.Series
 	defLat.Name, tppLat.Name, defLoss.Name, tppLoss.Name = "default_dlat", "tpp_dlat", "default_loss", "tpp_loss"
 	for _, lat := range []float64{220, 240, 260, 280, 300} {
-		// Per-node override on node 1, the CXL node — the same sweep
-		// works on any topology by overriding the node under study.
-		mut := func(c *sim.Config) { c.NodeLatencyNs = []float64{0, lat} }
-		_, def := run(o, core.DefaultLinux(), "Cache2", [2]uint64{2, 1}, mut)
-		_, tpp := run(o, core.TPP(), "Cache2", [2]uint64{2, 1}, mut)
+		// Override node 1, the CXL node — the same sweep works on any
+		// topology by overriding the node under study.
+		topo := tier.PresetCXL(2, 1)
+		topo.Nodes[1].LoadLatencyNs = lat
+		_, def := run(o, core.DefaultLinux(), "Cache2", topo)
+		_, tpp := run(o, core.TPP(), "Cache2", topo)
 		dl := def.AvgLatencyNs - 100
 		tl := tpp.AvgLatencyNs - 100
 		dLoss := 1 - def.NormalizedThroughput

@@ -20,6 +20,7 @@ import (
 	"tppsim/internal/metrics"
 	"tppsim/internal/report"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/workload"
 )
 
@@ -73,9 +74,11 @@ type Spec struct {
 	Run     func(Options) Result
 }
 
-// Registry lists every experiment in paper order.
+// Registry lists every experiment in paper order. Each entry's Run
+// fills unset Options fields with their defaults before running, so
+// Options{} runs every experiment at full scale and seed 1.
 func Registry() []Spec {
-	return []Spec{
+	specs := []Spec{
 		{"Fig2", "Latency characteristics of memory technologies", Fig2},
 		{"Fig3", "Memory as a share of rack TCO and power across generations", Fig3},
 		{"Fig4", "Memory bandwidth and capacity scaling over DRAM generations", Fig4},
@@ -105,6 +108,11 @@ func Registry() []Spec {
 		{"MT5", "Policy resilience under injected faults (fault plane)", MT5},
 		{"MT6", "Sampled trackers: overhead vs accuracy vs throughput (tracker plane)", MT6},
 	}
+	for i := range specs {
+		f := specs[i].Run
+		specs[i].Run = func(o Options) Result { return f(o.withDefaults()) }
+	}
+	return specs
 }
 
 // RunAll executes specs concurrently on a bounded worker pool and
@@ -185,13 +193,15 @@ func IDs() []string {
 	return out
 }
 
-// run executes one scenario and returns (machine, results).
-func run(o Options, policy core.Policy, wlName string, ratio [2]uint64, cfgMut ...func(*sim.Config)) (*sim.Machine, *metrics.Run) {
+// run executes one scenario on the given machine and returns (machine,
+// results); optional mutators adjust the config before assembly. It is
+// the package's one machine builder.
+func run(o Options, policy core.Policy, wlName string, topo tier.Spec, cfgMut ...func(*sim.Config)) (*sim.Machine, *metrics.Run) {
 	cfg := sim.Config{
 		Seed:     o.Seed,
 		Policy:   policy,
 		Workload: workload.Catalog[wlName](o.Pages),
-		Ratio:    ratio,
+		Topology: topo,
 		Minutes:  o.Minutes,
 		Workers:  o.SimWorkers,
 	}

@@ -43,6 +43,21 @@ func TestStaticExperiments(t *testing.T) {
 	}
 }
 
+// TestRegistryDefaultOptions runs every registry entry from Options
+// with only Minutes set, so each spec must fill the rest (Pages, Seed)
+// itself: a spec that skipped the defaults would size its machine from
+// zero pages and panic out of RunAll.
+func TestRegistryDefaultOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full registry at the default working set")
+	}
+	for _, res := range RunAll(Registry(), Options{Minutes: 1}, 0) {
+		if res.Table == nil || len(res.Table.Rows) == 0 {
+			t.Errorf("%s: empty table", res.ID)
+		}
+	}
+}
+
 func TestFig3TrendIncreasing(t *testing.T) {
 	res := Fig3(Options{})
 	first := res.Table.Rows[0]
@@ -74,7 +89,7 @@ func TestQuickEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow integration test")
 	}
-	o := Options{Pages: 8 * 1024, Minutes: 20}
+	o := Options{Pages: 8 * 1024, Minutes: 20, Seed: 1}
 
 	res := Fig18(o)
 	// Instant promotion must promote more than the active-LRU filter.
@@ -87,7 +102,7 @@ func TestQuickEndToEnd(t *testing.T) {
 		t.Fatalf("Table2 rows = %d", len(res.Table.Rows))
 	}
 
-	res = Fig16(Options{Pages: 8 * 1024, Minutes: 15})
+	res = Fig16(Options{Pages: 8 * 1024, Minutes: 15, Seed: 1})
 	if len(res.Table.Rows) != 5 {
 		t.Fatalf("Fig16 rows = %d", len(res.Table.Rows))
 	}
@@ -95,7 +110,7 @@ func TestQuickEndToEnd(t *testing.T) {
 		t.Fatal("Fig16 missing latency series")
 	}
 
-	res = MT1(Options{Pages: 8 * 1024, Minutes: 15})
+	res = MT1(Options{Pages: 8 * 1024, Minutes: 15, Seed: 1})
 	if len(res.Table.Rows) != 3 {
 		t.Fatalf("MT1 rows = %d", len(res.Table.Rows))
 	}

@@ -22,7 +22,6 @@ import (
 // the fault counters (pages evacuated, migration retries, pages
 // dropped after backoff exhaustion).
 func MT5(o Options) Result {
-	o = o.withDefaults()
 	ticks := uint64(o.Minutes) * workload.TicksPerMinute
 	fStart, fEnd := ticks*2/5, ticks*3/5
 
@@ -65,7 +64,7 @@ func MT5(o Options) Result {
 	for _, tp := range topos {
 		for _, in := range intensities {
 			sched := in.sched(tp.victim)
-			m, res := runTopo(o, core.TPP(), "Web1", tp.spec, func(cfg *sim.Config) {
+			m, res := run(o, core.TPP(), "Web1", tp.spec, func(cfg *sim.Config) {
 				cfg.Faults = sched
 			})
 			recovery := "-"

@@ -19,7 +19,6 @@ import (
 // per-policy CDF columns — cumulative fraction of accesses at or below
 // each latency bound, ready to plot as CDF curves.
 func MT4(o Options) Result {
-	o = o.withDefaults()
 	probed := func(c *sim.Config) { c.ProbeLatency = true }
 	presets := []struct {
 		label string
@@ -47,7 +46,7 @@ func MT4(o Options) Result {
 		names := make([]string, 0, len(policies))
 		label := pre.label
 		for _, pol := range policies {
-			_, res := runTopo(o, pol.policy, "Web1", pre.spec, probed)
+			_, res := run(o, pol.policy, "Web1", pre.spec, probed)
 			if res.Failed {
 				t.AddRow(label, pol.label, "FAILS: "+res.FailReason)
 				label = ""

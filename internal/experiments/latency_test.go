@@ -17,7 +17,7 @@ func TestMT4ExpanderCDFGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow integration test")
 	}
-	res := MT4(Options{Pages: 8 * 1024, Minutes: 15})
+	res := MT4(Options{Pages: 8 * 1024, Minutes: 15, Seed: 1})
 	csv, ok := res.Series["cdf_expander_2_1_1"]
 	if !ok {
 		t.Fatalf("MT4 series keys: %v", keys(res.Series))

@@ -11,28 +11,7 @@ import (
 	"tppsim/internal/sim"
 	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
-	"tppsim/internal/workload"
 )
-
-// runTopo executes one scenario on an explicit topology spec; optional
-// mutators adjust the config before assembly.
-func runTopo(o Options, policy core.Policy, wlName string, spec tier.Spec, cfgMut ...func(*sim.Config)) (*sim.Machine, *metrics.Run) {
-	cfg := sim.Config{
-		Seed:     o.Seed,
-		Policy:   policy,
-		Workload: workload.Catalog[wlName](o.Pages),
-		Topology: spec,
-		Minutes:  o.Minutes,
-	}
-	for _, mut := range cfgMut {
-		mut(&cfg)
-	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return m, m.Run()
-}
 
 // MT1 measures throughput against memory-tier depth: the same workload
 // and total capacity headroom on an all-local machine (depth 1), the
@@ -41,7 +20,6 @@ func runTopo(o Options, policy core.Policy, wlName string, spec tier.Spec, cfgMu
 // the cascade traffic: demotions into and promotions out of the far
 // tier, which only a topology-aware mechanism generates.
 func MT1(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title: "MT1 — Cache2 throughput vs memory-tier depth",
 		Columns: []string{"topology (depth)", "Default Linux", "TPP",
@@ -58,8 +36,8 @@ func MT1(o Options) Result {
 	var defTput, tppTput metrics.Series
 	defTput.Name, tppTput.Name = "default", "tpp"
 	for i, d := range depths {
-		_, def := runTopo(o, core.DefaultLinux(), "Cache2", d.spec)
-		tm, tpp := runTopo(o, core.TPP(), "Cache2", d.spec)
+		_, def := run(o, core.DefaultLinux(), "Cache2", d.spec)
+		tm, tpp := run(o, core.TPP(), "Cache2", d.spec)
 		depth := float64(i + 1)
 		defTput.Append(depth, def.NormalizedThroughput)
 		tppTput.Append(depth, tpp.NormalizedThroughput)
@@ -92,7 +70,6 @@ func cellTput(r *metrics.Run) string {
 // received by promotion, or hint-faulted. Each scenario's counter
 // columns sum exactly to the run's global vmstat values.
 func MT2(o Options) Result {
-	o = o.withDefaults()
 	scenarios := []struct {
 		label string
 		spec  tier.Spec
@@ -108,7 +85,7 @@ func MT2(o Options) Result {
 	}
 	series := map[string]string{}
 	for _, sc := range scenarios {
-		_, res := runTopo(o, core.TPP(), "Cache2", sc.spec)
+		_, res := run(o, core.TPP(), "Cache2", sc.spec)
 		label := sc.label
 		if res.Failed {
 			t.AddRow(label, "-", "-", "-", "FAILS: "+res.FailReason)
@@ -143,8 +120,7 @@ func MT2(o Options) Result {
 // table summarizes the steady state: per-node residency at the end plus
 // total promotion/demotion flow through each node.
 func MT3(o Options) Result {
-	o = o.withDefaults()
-	_, res := runTopo(o, core.TPP(), "Cache2", tier.PresetDualSocket(),
+	_, res := run(o, core.TPP(), "Cache2", tier.PresetDualSocket(),
 		func(c *sim.Config) { c.SampleEveryTicks = 1 })
 	t := &report.Table{
 		Title: "MT3 — dual-socket residency and flows over time (TPP/Cache2)",

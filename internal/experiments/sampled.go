@@ -22,7 +22,6 @@ import (
 // near-zero recall on read-heavy heat, at idlepage's identical scan
 // price.
 func MT6(o Options) Result {
-	o = o.withDefaults()
 	t := &report.Table{
 		Title: "MT6 — sampled trackers: overhead vs accuracy vs throughput",
 		Columns: []string{"topology", "tracker", "scan", "budget",
@@ -72,7 +71,7 @@ func MT6(o Options) Result {
 		for _, a := range arms[topo.label] {
 			pol := core.Sampled()
 			pol.Sampled.PagesPerTick = a.budget
-			_, r := runTopo(o, pol, "Cache2", topo.spec, func(cfg *sim.Config) {
+			_, r := run(o, pol, "Cache2", topo.spec, func(cfg *sim.Config) {
 				cfg.Tracker = tracker.Config{Kind: a.kind, ScanEveryTicks: a.scan, Oracle: true}
 			})
 			ts := r.Tracker

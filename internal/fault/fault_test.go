@@ -105,7 +105,7 @@ func TestCompileDeterministicAndSorted(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 1024, CXLPages: 512})
+	topo, err := tier.PresetCXL(1024, 512).Build(1536, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRetrierBackoffAndExhaustion(t *testing.T) {
 }
 
 func TestInvariantChecker(t *testing.T) {
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 64, CXLPages: 32})
+	topo, err := tier.PresetCXL(64, 32).Build(96, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,7 +251,7 @@ type MemStats struct {
 	Splits uint64
 	Merges uint64
 	// FramePages is the base pages per store PFN (1, or 512 with
-	// HugePages).
+	// Topology.HugePages).
 	FramePages uint64
 	// ResidentPages is the simulated resident footprint in base pages at
 	// end of run.

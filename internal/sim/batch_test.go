@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"tppsim/internal/core"
+	"tppsim/internal/mem"
 	"tppsim/internal/pagetable"
+	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
 )
@@ -35,7 +37,10 @@ func TestBatchMatchesSequentialUnderPressure(t *testing.T) {
 		}
 		m, err := New(Config{
 			Seed: 11, Policy: core.DefaultLinux(), Workload: w,
-			LocalPages: 6000, CXLPages: 4000, Minutes: 8,
+			Topology: tier.Spec{Name: tier.PresetNameCXL, Nodes: []tier.NodeSpec{
+				{Kind: mem.KindLocal, Pages: 6000}, {Kind: mem.KindCXL, Pages: 4000},
+			}},
+			Minutes: 8,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"tppsim/internal/core"
 	"tppsim/internal/mem"
 	"tppsim/internal/metrics"
+	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
 )
@@ -31,13 +32,18 @@ func hugeTestWorkload() workload.Workload {
 
 func hugeTestConfig() Config {
 	return Config{
-		Seed:       7,
-		Policy:     core.TPP(),
-		Workload:   hugeTestWorkload(),
-		LocalPages: 128 * mem.HugeFramePages,
-		CXLPages:   256 * mem.HugeFramePages,
-		HugePages:  true,
-		Minutes:    3,
+		Seed:     7,
+		Policy:   core.TPP(),
+		Workload: hugeTestWorkload(),
+		Topology: tier.Spec{
+			Name: tier.PresetNameCXL,
+			Nodes: []tier.NodeSpec{
+				{Kind: mem.KindLocal, Pages: 128 * mem.HugeFramePages},
+				{Kind: mem.KindCXL, Pages: 256 * mem.HugeFramePages},
+			},
+			HugePages: true,
+		},
+		Minutes: 3,
 	}
 }
 

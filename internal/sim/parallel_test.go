@@ -174,7 +174,7 @@ func TestParallelWorkersResolve(t *testing.T) {
 		m, err := New(Config{
 			Seed: 1, Policy: core.TPP(),
 			Workload: workload.Catalog["Cache2"](2 * 1024),
-			Ratio:    [2]uint64{2, 1},
+			Topology: tier.PresetCXL(2, 1),
 			Minutes:  1,
 			Workers:  workers,
 		})

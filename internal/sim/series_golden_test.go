@@ -56,12 +56,11 @@ func TestSampledSeriesGolden(t *testing.T) {
 	cases := []struct {
 		name   string
 		topo   tier.Spec
-		ratio  [2]uint64
 		digest string
 	}{
 		{
 			name:   "cxl-2node",
-			ratio:  [2]uint64{2, 1},
+			topo:   tier.PresetCXL(2, 1),
 			digest: "300x2 h=7c5c0eb7a8a92da3 promo0=4164 resid0end=10431",
 		},
 		{
@@ -79,11 +78,7 @@ func TestSampledSeriesGolden(t *testing.T) {
 				Minutes:          10,
 				SampleEveryTicks: 1,
 				SampleBudget:     512, // 600 ticks -> one coarsening pass
-			}
-			if len(tc.topo.Nodes) > 0 {
-				cfg.Topology = tc.topo
-			} else {
-				cfg.Ratio = tc.ratio
+				Topology:         tc.topo,
 			}
 			m, err := New(cfg)
 			if err != nil {
@@ -123,7 +118,7 @@ func TestSamplingDoesNotPerturbRuns(t *testing.T) {
 		m, err := New(Config{
 			Seed: 7, Policy: core.TPP(),
 			Workload:         workload.Catalog["Web1"](8 * 1024),
-			Ratio:            [2]uint64{2, 1},
+			Topology:         tier.PresetCXL(2, 1),
 			Minutes:          6,
 			SampleEveryTicks: sample,
 		})

@@ -59,29 +59,12 @@ type Config struct {
 	// Topology declares the machine: N nodes with per-node capacity
 	// (absolute pages or working-set ratio shares), kind, latency,
 	// bandwidth, and a distance matrix. Use the tier presets (PresetCXL,
-	// PresetDualSocket, PresetExpander) or build a custom Spec. Leaving
-	// it empty falls back to the legacy two-node sugar below.
+	// PresetDualSocket, PresetExpander) or build a custom Spec; ratio
+	// shares are sized over the workload's TotalPages with
+	// tier.DefaultSlack headroom. A Topology without Nodes gets the
+	// nodes of tier.PresetCXL(2, 1), the paper's 2:1 local:CXL box.
+	// Topology.HugePages selects the 2 MB huge-page machine.
 	Topology tier.Spec
-
-	// Legacy node sizing for the paper's 2-node box, kept as sugar over
-	// Topology (deprecated: prefer Topology). Either set
-	// LocalPages/CXLPages explicitly, or give a Ratio (e.g. {2,1} or
-	// {1,4}) to derive them from the workload's working set with Slack
-	// headroom. Ratio {1,0} builds the all-local baseline. Mutually
-	// exclusive with Topology.
-	LocalPages uint64
-	CXLPages   uint64
-	Ratio      [2]uint64
-	// Slack is the capacity headroom over the working set (default 0.08;
-	// the paper: "the whole system has enough memory").
-	Slack float64
-	// CXLLatencyNs overrides the CXL load latency on the legacy 2-node
-	// machine (deprecated: prefer NodeLatencyNs, which works on any
-	// topology).
-	CXLLatencyNs float64
-	// NodeLatencyNs overrides per-node load latency, indexed by node ID;
-	// zero entries keep the node's default (the Fig. 16 sweep, per node).
-	NodeLatencyNs []float64
 
 	// Minutes is the run length in simulated minutes (default 60).
 	Minutes int
@@ -100,15 +83,6 @@ type Config struct {
 	// uses GOMAXPROCS. Sharding pays off on large machines whose page
 	// store outgrows the cache; small machines should stay serial.
 	Workers int
-
-	// HugePages backs the machine with 2 MB huge pages over an
-	// extent-compressed page table: aligned 512-page frames allocate,
-	// translate, migrate, and age as single units (one LRU entry, one
-	// migration charge, hint-fault sampling at huge granularity), and
-	// simulator state shrinks ~512x per resident page — the
-	// terabyte-scale configuration. Equivalent to Topology.HugePages.
-	// Off — the default — keeps runs bit-identical to previous builds.
-	HugePages bool
 
 	// RecordEveryTicks sets the series resolution (default 30).
 	RecordEveryTicks int
@@ -180,11 +154,10 @@ func (c Config) withDefaults() Config {
 	if c.RecordEveryTicks == 0 {
 		c.RecordEveryTicks = 30
 	}
-	if c.Slack == 0 {
-		c.Slack = 0.08
-	}
-	if len(c.Topology.Nodes) == 0 && c.Ratio == [2]uint64{} && c.LocalPages == 0 {
-		c.Ratio = [2]uint64{2, 1}
+	if len(c.Topology.Nodes) == 0 {
+		// Keep the rest of the spec (HugePages, DemoteScaleFactor).
+		def := tier.PresetCXL(2, 1)
+		c.Topology.Name, c.Topology.Nodes = def.Name, def.Nodes
 	}
 	return c
 }
@@ -236,8 +209,8 @@ type Machine struct {
 	// Per-(home CPU, resident node) load-latency matrix cached from the
 	// topology (flattened row-major) so the access hot path is one
 	// multiply and two slice indexes instead of pointer-chasing through
-	// Topology. Sweeps configure latencies via
-	// Config.CXLLatencyNs/NodeLatencyNs before assembly; only the fault
+	// Topology. Sweeps configure latencies via the Topology's
+	// NodeSpec.LoadLatencyNs before assembly; only the fault
 	// plane's latency-degradation edges change them mid-run, and each
 	// edge calls refreshLatMat. On single-socket machines row 0 is the
 	// only row read.
@@ -259,7 +232,7 @@ type Machine struct {
 	prevPromote uint64
 	prevDemote  uint64
 
-	// Huge-page mode (Config.HugePages / Topology.HugePages): every PFN
+	// Huge-page mode (Config.Topology.HugePages): every PFN
 	// is a 2 MB frame of framePages base pages over an extent page
 	// table. prevSplits/prevMerges carry the extent-table churn into the
 	// vmstat extent_split/extent_merge counters per tick.
@@ -299,34 +272,28 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("sim: no workload")
 	}
-	var topo *tier.Topology
-	var err error
-	if len(cfg.Topology.Nodes) > 0 {
-		if cfg.Ratio != [2]uint64{} || cfg.LocalPages != 0 || cfg.CXLPages != 0 {
-			return nil, fmt.Errorf("sim: Topology and the legacy Ratio/LocalPages/CXLPages sizing are mutually exclusive")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Minutes", cfg.Minutes},
+		{"AccessesPerTick", cfg.AccessesPerTick},
+		{"RecordEveryTicks", cfg.RecordEveryTicks},
+		{"SampleEveryTicks", cfg.SampleEveryTicks},
+		{"SampleBudget", cfg.SampleBudget},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("sim: %s %d is negative", f.name, f.v)
 		}
-		if cfg.CXLLatencyNs != 0 {
-			return nil, fmt.Errorf("sim: CXLLatencyNs only applies to the legacy 2-node machine; use NodeLatencyNs with Topology")
-		}
-		topo, err = cfg.Topology.Build(cfg.Workload.TotalPages(), cfg.Slack)
-	} else {
-		local, cxl := cfg.LocalPages, cfg.CXLPages
-		if local == 0 {
-			local, cxl = tier.RatioPages(cfg.Workload.TotalPages(), cfg.Ratio[0], cfg.Ratio[1], cfg.Slack)
-		}
-		topo, err = tier.NewCXLSystem(tier.Config{
-			LocalPages:   local,
-			CXLPages:     cxl,
-			CXLLatencyNs: cfg.CXLLatencyNs,
-		})
 	}
+	if v, ok := cfg.Workload.(workload.Validator); ok {
+		if err := v.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	topo, err := cfg.Topology.Build(cfg.Workload.TotalPages(), tier.DefaultSlack)
 	if err != nil {
 		return nil, err
-	}
-	for i, ns := range cfg.NodeLatencyNs {
-		if ns > 0 && i < topo.NumNodes() {
-			topo.SetLatency(mem.NodeID(i), ns)
-		}
 	}
 	if err := cfg.Faults.Validate(topo); err != nil {
 		return nil, err
@@ -335,7 +302,7 @@ func New(cfg Config) (*Machine, error) {
 	// Huge-page mode sizes the store in frames (512 base pages per PFN)
 	// and swaps the dense page table for the extent representation; off,
 	// both choices reduce to exactly the previous machine.
-	huge := cfg.HugePages || topo.HugePages()
+	huge := topo.HugePages()
 	frameShift := uint(0)
 	if huge {
 		frameShift = mem.HugeFrameShift

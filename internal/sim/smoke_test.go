@@ -4,18 +4,19 @@ import (
 	"testing"
 
 	"tppsim/internal/core"
+	"tppsim/internal/tier"
 	"tppsim/internal/workload"
 )
 
 // smokeRun executes a short scenario and returns the results.
-func smokeRun(t *testing.T, policy core.Policy, wlName string, ratio [2]uint64, minutes int) *Machine {
+func smokeRun(t *testing.T, policy core.Policy, wlName string, topo tier.Spec, minutes int) *Machine {
 	t.Helper()
 	wl := workload.Catalog[wlName](16 * 1024)
 	m, err := New(Config{
 		Seed:     1,
 		Policy:   policy,
 		Workload: wl,
-		Ratio:    ratio,
+		Topology: topo,
 		Minutes:  minutes,
 	})
 	if err != nil {
@@ -26,7 +27,7 @@ func smokeRun(t *testing.T, policy core.Policy, wlName string, ratio [2]uint64, 
 }
 
 func TestBaselineAllLocal(t *testing.T) {
-	m := smokeRun(t, core.DefaultLinux(), "Cache1", [2]uint64{1, 0}, 20)
+	m := smokeRun(t, core.DefaultLinux(), "Cache1", tier.PresetCXL(1, 0), 20)
 	r := m.Results()
 	if r.Failed {
 		t.Fatalf("baseline failed: %s", r.FailReason)
@@ -40,8 +41,8 @@ func TestBaselineAllLocal(t *testing.T) {
 }
 
 func TestTPPBeatsDefaultOnWeb1(t *testing.T) {
-	def := smokeRun(t, core.DefaultLinux(), "Web1", [2]uint64{2, 1}, 40).Results()
-	tpp := smokeRun(t, core.TPP(), "Web1", [2]uint64{2, 1}, 40).Results()
+	def := smokeRun(t, core.DefaultLinux(), "Web1", tier.PresetCXL(2, 1), 40).Results()
+	tpp := smokeRun(t, core.TPP(), "Web1", tier.PresetCXL(2, 1), 40).Results()
 	if def.Failed || tpp.Failed {
 		t.Fatalf("runs failed: def=%v tpp=%v", def.FailReason, tpp.FailReason)
 	}
@@ -54,8 +55,8 @@ func TestTPPBeatsDefaultOnWeb1(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := smokeRun(t, core.TPP(), "Cache2", [2]uint64{2, 1}, 15)
-	b := smokeRun(t, core.TPP(), "Cache2", [2]uint64{2, 1}, 15)
+	a := smokeRun(t, core.TPP(), "Cache2", tier.PresetCXL(2, 1), 15)
+	b := smokeRun(t, core.TPP(), "Cache2", tier.PresetCXL(2, 1), 15)
 	if !a.Stat().Snapshot().Equal(b.Stat().Snapshot()) {
 		t.Fatal("same seed produced different vmstat snapshots")
 	}

@@ -7,17 +7,23 @@ import (
 	"tppsim/internal/mem"
 )
 
-func mustCXL(t *testing.T, cfg Config) *Topology {
+// mustCXL builds the paper's 2-node box from absolute page counts, or
+// the single local node when cxl is 0.
+func mustCXL(t *testing.T, local, cxl uint64) *Topology {
 	t.Helper()
-	topo, err := NewCXLSystem(cfg)
+	s := Spec{Name: PresetNameCXL, Nodes: []NodeSpec{{Kind: mem.KindLocal, Pages: local}}}
+	if cxl > 0 {
+		s.Nodes = append(s.Nodes, NodeSpec{Kind: mem.KindCXL, Pages: cxl})
+	}
+	topo, err := s.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return topo
 }
 
-func TestNewCXLSystem(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 1000, CXLPages: 500})
+func TestCXLSpecAbsolutePages(t *testing.T) {
+	topo := mustCXL(t, 1000, 500)
 	if topo.NumNodes() != 2 {
 		t.Fatalf("NumNodes = %d", topo.NumNodes())
 	}
@@ -36,7 +42,7 @@ func TestNewCXLSystem(t *testing.T) {
 }
 
 func TestBaselineSingleNode(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 1000})
+	topo := mustCXL(t, 1000, 0)
 	if topo.NumNodes() != 1 {
 		t.Fatalf("baseline NumNodes = %d", topo.NumNodes())
 	}
@@ -49,18 +55,22 @@ func TestBaselineSingleNode(t *testing.T) {
 }
 
 func TestLatencyOverride(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 10, CXLPages: 10, CXLLatencyNs: 300})
-	if topo.Traits(1).LoadLatency != 300 {
-		t.Fatal("CXLLatencyNs ignored")
+	s := PresetCXL(1, 1)
+	s.Nodes[1].LoadLatencyNs = 300
+	topo, err := s.Build(20, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	topo.SetLatency(1, 250)
-	if topo.Traits(1).LoadLatency != 250 {
-		t.Fatal("SetLatency ignored")
+	if topo.Traits(1).LoadLatency != 300 {
+		t.Fatal("LoadLatencyNs ignored")
+	}
+	if topo.Traits(0).LoadLatency != LocalDRAMLatencyNs {
+		t.Fatalf("local latency = %v, want the default", topo.Traits(0).LoadLatency)
 	}
 }
 
 func TestDemotionAndPromotionTargets(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 100, CXLPages: 50})
+	topo := mustCXL(t, 100, 50)
 	if got := topo.DemotionTarget(0); got != 1 {
 		t.Fatalf("DemotionTarget = %d", got)
 	}
@@ -103,7 +113,7 @@ func TestPromotionTargetPicksLowestPressure(t *testing.T) {
 }
 
 func TestFallbackOrder(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 10, CXLPages: 10})
+	topo := mustCXL(t, 10, 10)
 	order := topo.FallbackOrder(0)
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("FallbackOrder(0) = %v", order)
@@ -118,7 +128,7 @@ func TestFallbackOrder(t *testing.T) {
 // online set: hot-remove drops a node from both orders, and bringing
 // it back restores them.
 func TestFallbackOrderSetOffline(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 10, CXLPages: 10})
+	topo := mustCXL(t, 10, 10)
 	check := func(what string, got []mem.NodeID, want ...mem.NodeID) {
 		t.Helper()
 		if !slices.Equal(got, want) {
@@ -157,25 +167,47 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestRatioPages(t *testing.T) {
-	local, cxl := RatioPages(3000, 2, 1, 0)
-	if local != 2000 || cxl != 1000 {
-		t.Fatalf("2:1 split = %d:%d", local, cxl)
+// TestPresetCXLShareSplit pins the 2-node share split to fixed
+// capacities: local = total·L/(L+C) and cxl = total − local, with total
+// the working set grown by the slack. The default machine's sizing is
+// also pinned by the seed-determinism golden test.
+func TestPresetCXLShareSplit(t *testing.T) {
+	cases := []struct {
+		ws         uint64
+		l, c       uint64
+		slack      float64
+		local, cxl uint64 // cxl 0: a single node
+	}{
+		{3000, 2, 1, 0, 2000, 1000},
+		{5000, 1, 4, 0, 1000, 4000},
+		{1000, 1, 1, 0.1, 550, 550},
+		{16384, 2, 1, 0.08, 11796, 5898},
+		{16384, 1, 4, 0.08, 3538, 14156},
+		{16384, 3, 2, 0.08, 10616, 7078},
+		{3000, 1, 0, 0.08, 3240, 0},
 	}
-	local, cxl = RatioPages(5000, 1, 4, 0)
-	if local != 1000 || cxl != 4000 {
-		t.Fatalf("1:4 split = %d:%d", local, cxl)
-	}
-	// Slack grows the total.
-	local, cxl = RatioPages(1000, 1, 1, 0.1)
-	if local+cxl != 1100 {
-		t.Fatalf("slack total = %d", local+cxl)
+	for _, c := range cases {
+		topo, err := PresetCXL(c.l, c.c).Build(c.ws, c.slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []uint64{c.local}
+		if c.cxl > 0 {
+			want = append(want, c.cxl)
+		}
+		var got []uint64
+		for _, n := range topo.Nodes() {
+			got = append(got, n.Capacity)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%d:%d over %d (slack %g) = %v, want %v", c.l, c.c, c.ws, c.slack, got, want)
+		}
 	}
 }
 
 func TestZeroLocalRejected(t *testing.T) {
-	if _, err := NewCXLSystem(Config{}); err == nil {
-		t.Fatal("zero local pages accepted")
+	if _, err := PresetCXL(0, 1).Build(1000, 0); err == nil {
+		t.Fatal("zero local share accepted")
 	}
 }
 
@@ -208,25 +240,6 @@ func TestSpecValidationErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := c.spec.Build(c.ws, 0); err == nil {
 			t.Errorf("%s: Build accepted invalid spec", c.name)
-		}
-	}
-}
-
-func TestSpecShareSplitMatchesRatioPages(t *testing.T) {
-	// The spec share split must reproduce the legacy RatioPages
-	// arithmetic bit for bit — the default machine's sizing is pinned by
-	// the seed-determinism golden test.
-	for _, c := range [][2]uint64{{2, 1}, {1, 4}, {3, 2}} {
-		wantLocal, wantCXL := RatioPages(16*1024, c[0], c[1], 0.08)
-		topo, err := PresetCXL(c[0], c[1]).Build(16*1024, 0.08)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := topo.Node(0).Capacity; got != wantLocal {
-			t.Errorf("%d:%d local = %d, want %d", c[0], c[1], got, wantLocal)
-		}
-		if got := topo.Node(1).Capacity; got != wantCXL {
-			t.Errorf("%d:%d cxl = %d, want %d", c[0], c[1], got, wantCXL)
 		}
 	}
 }

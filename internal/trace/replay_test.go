@@ -8,6 +8,7 @@ import (
 
 	"tppsim/internal/core"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/trace"
 	"tppsim/internal/workload"
 )
@@ -25,7 +26,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 				Seed:     3,
 				Policy:   core.TPP(),
 				Workload: workload.Catalog[wlName](4 * 1024),
-				Ratio:    [2]uint64{2, 1},
+				Topology: tier.PresetCXL(2, 1),
 				Minutes:  6,
 				RecordTo: path,
 			}
@@ -81,7 +82,7 @@ func TestReplayAcrossPolicies(t *testing.T) {
 		Seed:     1,
 		Policy:   core.DefaultLinux(),
 		Workload: workload.Catalog["Cache1"](4 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: tier.PresetCXL(2, 1),
 		Minutes:  5,
 		RecordTo: path,
 	}
@@ -102,7 +103,7 @@ func TestReplayAcrossPolicies(t *testing.T) {
 	for _, p := range []core.Policy{core.DefaultLinux(), core.TPP(), core.NUMABalancing()} {
 		rp := tr.Replayer(trace.ReplayOptions{})
 		m, err := sim.New(sim.Config{
-			Seed: 1, Policy: p, Workload: rp, Ratio: [2]uint64{2, 1}, Minutes: 5,
+			Seed: 1, Policy: p, Workload: rp, Topology: tier.PresetCXL(2, 1), Minutes: 5,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -129,7 +130,7 @@ func TestReplayLoopAndTruncate(t *testing.T) {
 		t.Helper()
 		m, err := sim.New(sim.Config{
 			Seed: 1, Policy: core.TPP(), Workload: wl,
-			Ratio: [2]uint64{2, 1}, Minutes: minutes, AccessesPerTick: 100,
+			Topology: tier.PresetCXL(2, 1), Minutes: minutes, AccessesPerTick: 100,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +184,7 @@ func TestCorruptTraceFailsRun(t *testing.T) {
 	path := filepath.Join(dir, "ok.trace")
 	m, err := sim.New(sim.Config{
 		Seed: 1, Policy: core.TPP(), Workload: workload.Catalog["Cache1"](4 * 1024),
-		Ratio: [2]uint64{2, 1}, Minutes: 4, RecordTo: path,
+		Topology: tier.PresetCXL(2, 1), Minutes: 4, RecordTo: path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +206,7 @@ func TestCorruptTraceFailsRun(t *testing.T) {
 	}
 	rp := tr.Replayer(trace.ReplayOptions{})
 	m, err = sim.New(sim.Config{
-		Seed: 1, Policy: core.TPP(), Workload: rp, Ratio: [2]uint64{2, 1}, Minutes: 4,
+		Seed: 1, Policy: core.TPP(), Workload: rp, Topology: tier.PresetCXL(2, 1), Minutes: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestGeneratorsTinyWorkingSet(t *testing.T) {
 		rp := tr.Replayer(trace.ReplayOptions{Loop: true})
 		m, err := sim.New(sim.Config{
 			Seed: 1, Policy: core.TPP(), Workload: rp,
-			Ratio: [2]uint64{2, 1}, Minutes: 2, AccessesPerTick: 20,
+			Topology: tier.PresetCXL(2, 1), Minutes: 2, AccessesPerTick: 20,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -283,7 +284,7 @@ func TestReplayerBatchMatchesScalar(t *testing.T) {
 			runWith := func(wl workload.Workload) (*sim.Machine, string) {
 				m, err := sim.New(sim.Config{
 					Seed: 2, Policy: core.TPP(), Workload: wl,
-					Ratio: [2]uint64{2, 1}, Minutes: 5, AccessesPerTick: 400,
+					Topology: tier.PresetCXL(2, 1), Minutes: 5, AccessesPerTick: 400,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -318,7 +319,7 @@ func TestCatalogTraceEntries(t *testing.T) {
 		wl := ctor(2048)
 		m, err := sim.New(sim.Config{
 			Seed: 1, Policy: core.TPP(), Workload: wl,
-			Ratio: [2]uint64{2, 1}, Minutes: 3, AccessesPerTick: 200,
+			Topology: tier.PresetCXL(2, 1), Minutes: 3, AccessesPerTick: 200,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -8,6 +8,7 @@ import (
 
 	"tppsim/internal/core"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/trace"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
@@ -22,7 +23,7 @@ func recordSampledRun(t *testing.T, dir string, every, budget int) (*sim.Machine
 		Seed:             11,
 		Policy:           core.TPP(),
 		Workload:         workload.Catalog["Cache2"](4 * 1024),
-		Ratio:            [2]uint64{2, 1},
+		Topology:         tier.PresetCXL(2, 1),
 		Minutes:          5,
 		RecordTo:         path,
 		SampleEveryTicks: every,

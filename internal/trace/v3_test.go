@@ -10,6 +10,7 @@ import (
 	"tppsim/internal/core"
 	"tppsim/internal/mem"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/trace"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
@@ -24,7 +25,7 @@ func recordRun(t *testing.T, dir string) (*sim.Machine, *trace.Trace) {
 		Seed:     11,
 		Policy:   core.TPP(),
 		Workload: workload.Catalog["Cache2"](4 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: tier.PresetCXL(2, 1),
 		Minutes:  5,
 		RecordTo: path,
 	})
@@ -131,7 +132,7 @@ func TestV2TraceStillReplays(t *testing.T) {
 			Seed:     11,
 			Policy:   core.TPP(),
 			Workload: tr.Replayer(trace.ReplayOptions{}),
-			Ratio:    [2]uint64{2, 1},
+			Topology: tier.PresetCXL(2, 1),
 			Minutes:  5,
 		})
 		if err != nil {

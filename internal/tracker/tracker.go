@@ -168,6 +168,12 @@ func (c Config) Validate() error {
 	if d.RegionBudget < 2 {
 		return fmt.Errorf("tracker: region budget %d too small", d.RegionBudget)
 	}
+	if d.SamplesPerTick < 1 {
+		return fmt.Errorf("tracker: samples per tick %d is not positive", d.SamplesPerTick)
+	}
+	if !(d.HalflifeTicks > 0) {
+		return fmt.Errorf("tracker: half-life %g is not positive", d.HalflifeTicks)
+	}
 	return nil
 }
 
@@ -303,7 +309,9 @@ func (c Config) Spec() string {
 
 // ParseSpec parses a spec string back into a Config. A bare kind
 // ("idlepage") takes every default; parameters follow after a colon as
-// comma-separated key=value pairs. "" parses to the off config.
+// comma-separated key=value pairs. "" parses to the off config. Numeric
+// parameters other than seed must be positive: an explicit zero would
+// otherwise silently select the default.
 func ParseSpec(spec string) (Config, error) {
 	if spec == "" {
 		return Config{}, nil
@@ -316,6 +324,12 @@ func ParseSpec(spec string) (Config, error) {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
 				return Config{}, fmt.Errorf("tracker spec: malformed parameter %q", kv)
+			}
+			switch k {
+			case "scan", "gran", "regions", "samples", "halflife", "range":
+				if f, err := strconv.ParseFloat(v, 64); err == nil && !(f > 0) {
+					return Config{}, fmt.Errorf("tracker spec: parameter %q must be positive", kv)
+				}
 			}
 			var err error
 			switch k {

@@ -26,7 +26,9 @@ type fixture struct {
 
 func newFixture(t *testing.T, localPages, cxlPages uint64, withEngine bool) *fixture {
 	t.Helper()
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: localPages, CXLPages: cxlPages})
+	// Shares equal to the page counts, split over their sum with no
+	// slack, size the nodes exactly (cxlPages 0: local node only).
+	topo, err := tier.PresetCXL(localPages, cxlPages).Build(localPages+cxlPages, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

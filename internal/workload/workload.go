@@ -17,6 +17,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/bits"
 
 	"tppsim/internal/mem"
@@ -68,6 +69,15 @@ type Workload interface {
 // so a silently-stalled workload cannot masquerade as a healthy result.
 type ErrorReporter interface {
 	WorkloadErr() error
+}
+
+// Validator is an optional Workload extension for workloads whose
+// parameters can be unrunnable — a Profile scaled to so few pages that
+// a region comes out empty. sim.New calls it before Start and returns
+// its error, so a bad size fails at the boundary instead of panicking
+// mid-setup.
+type Validator interface {
+	Validate() error
 }
 
 // BatchAccessor is an optional Workload extension: draw up to len(buf)
@@ -218,6 +228,7 @@ func (rs *regionState) setGrown(g uint64) {
 
 var _ Workload = (*Profile)(nil)
 var _ DirtyModel = (*Profile)(nil)
+var _ Validator = (*Profile)(nil)
 
 // Name implements Workload.
 func (p *Profile) Name() string { return p.PName }
@@ -239,6 +250,16 @@ func (p *Profile) TotalPages() uint64 {
 		s += r.Pages
 	}
 	return s
+}
+
+// Validate implements Validator: every region needs at least one page.
+func (p *Profile) Validate() error {
+	for _, spec := range p.Specs {
+		if spec.Pages == 0 {
+			return fmt.Errorf("workload %s: region %q has 0 pages (working set too small)", p.PName, spec.Name)
+		}
+	}
+	return nil
 }
 
 // DirtyProb implements DirtyModel: the dirty-at-fault probability for

@@ -14,7 +14,7 @@ func TestQuickstartFacade(t *testing.T) {
 		Seed:     7,
 		Policy:   TPP(),
 		Workload: wl,
-		Ratio:    [2]uint64{2, 1},
+		Topology: TopologyCXL(2, 1),
 		Minutes:  10,
 	})
 	if err != nil {
@@ -59,7 +59,7 @@ func TestRecordReplayFacade(t *testing.T) {
 		Seed:     7,
 		Policy:   TPP(),
 		Workload: Workloads["Cache1"](4 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: TopologyCXL(2, 1),
 		Minutes:  5,
 	}
 	base, err := Record(cfg, path)
@@ -197,9 +197,9 @@ func TestShapeTable1(t *testing.T) {
 		t.Skip("integration shape test")
 	}
 	o := experiments.Options{Pages: 8 * 1024, Minutes: 25}
-	runOne := func(p Policy, wl string, ratio [2]uint64) *RunResult {
+	runOne := func(p Policy, wl string, topo Topology) *RunResult {
 		m, err := NewMachine(MachineConfig{
-			Seed: 1, Policy: p, Workload: Workloads[wl](o.Pages), Ratio: ratio, Minutes: o.Minutes,
+			Seed: 1, Policy: p, Workload: Workloads[wl](o.Pages), Topology: topo, Minutes: o.Minutes,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -207,8 +207,8 @@ func TestShapeTable1(t *testing.T) {
 		return m.Run()
 	}
 
-	def := runOne(DefaultLinux(), "Web1", [2]uint64{2, 1})
-	tpp := runOne(TPP(), "Web1", [2]uint64{2, 1})
+	def := runOne(DefaultLinux(), "Web1", TopologyCXL(2, 1))
+	tpp := runOne(TPP(), "Web1", TopologyCXL(2, 1))
 	if tpp.NormalizedThroughput <= def.NormalizedThroughput {
 		t.Errorf("Web1 2:1: TPP %.3f <= Default %.3f", tpp.NormalizedThroughput, def.NormalizedThroughput)
 	}
@@ -216,11 +216,11 @@ func TestShapeTable1(t *testing.T) {
 		t.Errorf("Web1 2:1: TPP not near baseline: %.3f", tpp.NormalizedThroughput)
 	}
 
-	at := runOne(AutoTiering(), "Cache1", [2]uint64{1, 4})
+	at := runOne(AutoTiering(), "Cache1", TopologyCXL(1, 4))
 	if !at.Failed {
 		t.Error("Cache1 1:4: AutoTiering did not fail")
 	}
-	at21 := runOne(AutoTiering(), "Cache1", [2]uint64{2, 1})
+	at21 := runOne(AutoTiering(), "Cache1", TopologyCXL(2, 1))
 	if at21.Failed {
 		t.Error("Cache1 2:1: AutoTiering failed but should run")
 	}
@@ -232,7 +232,7 @@ func TestShapeDecoupling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration shape test")
 	}
-	res := experiments.Fig17(experiments.Options{Pages: 8 * 1024, Minutes: 25})
+	res := experiments.Fig17(experiments.Options{Pages: 8 * 1024, Minutes: 25, Seed: 1})
 	if len(res.Table.Rows) < 4 {
 		t.Fatal("Fig17 incomplete")
 	}
