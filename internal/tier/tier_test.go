@@ -167,25 +167,18 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestPresetCXLShareSplit pins the 2-node share split to fixed
+// shareSplitCase is one PresetCXL(l, c).Build sizing with its expected
 // capacities: local = total·L/(L+C) and cxl = total − local, with total
-// the working set grown by the slack. The default machine's sizing is
-// also pinned by the seed-determinism golden test.
-func TestPresetCXLShareSplit(t *testing.T) {
-	cases := []struct {
-		ws         uint64
-		l, c       uint64
-		slack      float64
-		local, cxl uint64 // cxl 0: a single node
-	}{
-		{3000, 2, 1, 0, 2000, 1000},
-		{5000, 1, 4, 0, 1000, 4000},
-		{1000, 1, 1, 0.1, 550, 550},
-		{16384, 2, 1, 0.08, 11796, 5898},
-		{16384, 1, 4, 0.08, 3538, 14156},
-		{16384, 3, 2, 0.08, 10616, 7078},
-		{3000, 1, 0, 0.08, 3240, 0},
-	}
+// the working set grown by the slack.
+type shareSplitCase struct {
+	ws         uint64
+	l, c       uint64
+	slack      float64
+	local, cxl uint64 // cxl 0: a single node
+}
+
+func checkShareSplit(t *testing.T, cases []shareSplitCase) {
+	t.Helper()
 	for _, c := range cases {
 		topo, err := PresetCXL(c.l, c.c).Build(c.ws, c.slack)
 		if err != nil {
@@ -203,6 +196,28 @@ func TestPresetCXLShareSplit(t *testing.T) {
 			t.Errorf("%d:%d over %d (slack %g) = %v, want %v", c.l, c.c, c.ws, c.slack, got, want)
 		}
 	}
+}
+
+// TestRatioPages pins the 2-node share split of small working sets to
+// fixed capacities, and a {1,0} split to a single node.
+func TestRatioPages(t *testing.T) {
+	checkShareSplit(t, []shareSplitCase{
+		{3000, 2, 1, 0, 2000, 1000},
+		{5000, 1, 4, 0, 1000, 4000},
+		{1000, 1, 1, 0.1, 550, 550},
+		{3000, 1, 0, 0.08, 3240, 0},
+	})
+}
+
+// TestSpecShareSplitMatchesRatioPages pins the share split at the
+// default slack. The default machine's sizing is also pinned by the
+// seed-determinism golden test.
+func TestSpecShareSplitMatchesRatioPages(t *testing.T) {
+	checkShareSplit(t, []shareSplitCase{
+		{16384, 2, 1, 0.08, 11796, 5898},
+		{16384, 1, 4, 0.08, 3538, 14156},
+		{16384, 3, 2, 0.08, 10616, 7078},
+	})
 }
 
 func TestZeroLocalRejected(t *testing.T) {
